@@ -57,8 +57,8 @@ class GcrLockAdapter final : public AnyGcrLock {
     return const_cast<LockAdapter<P, Wrapped>&>(base_).impl();
   }
 
-  // Reuses LockAdapter's per-context handle pooling; the GCR surface reaches
-  // through to the wrapped lock via impl().
+  // Reuses LockAdapter's ledger-backed node handling; the GCR surface
+  // reaches through to the wrapped lock via impl().
   LockAdapter<P, Wrapped> base_;
 };
 

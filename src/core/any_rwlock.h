@@ -2,24 +2,21 @@
 // any_lock.h, behind the pthread_rwlock shape (rdlock/wrlock/unlock) so the
 // registry and the C API can hand out NUMA-aware rwlocks by name.
 //
-// Handle management follows LockAdapter: each execution context keeps LIFO
-// pools of handles, one per mode.  The unified Unlock() (pthread_rwlock_
-// unlock semantics) releases the most recent acquisition, preferring the
-// exclusive stack -- within one context an exclusive section can never be
-// nested inside a shared section of the same lock (that would self-deadlock),
-// so the preference is unambiguous.
+// Handle management follows LockAdapter: nodes come from the execution
+// context's held-lock ledger, whose entries record the mode.  The unified
+// UnlockAny() (pthread_rwlock_unlock semantics) releases this context's
+// newest hold of the lock in whichever mode it was taken -- within one
+// context the same rwlock cannot be held in both modes at once (that would
+// self-deadlock), so the newest hold is unambiguous.
 #ifndef CNA_CORE_ANY_RWLOCK_H_
 #define CNA_CORE_ANY_RWLOCK_H_
 
-#include <array>
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "core/any_lock.h"
 #include "locks/lock_api.h"
+#include "locktable/held_ledger.h"
 
 namespace cna::core {
 
@@ -50,71 +47,59 @@ class RwLockAdapter final : public AnyRwLock {
   explicit RwLockAdapter(std::string name) : name_(std::move(name)) {}
 
   void Lock() override {
-    auto& stack = ExclusiveStack();
-    auto h = CheckOut(stack);
-    impl_.Lock(*h);
-    stack.active.push_back(std::move(h));
+    impl_.Lock(*ContextLedger().Checkout(&impl_).node);
   }
 
   bool TryLock() override {
-    auto& stack = ExclusiveStack();
-    auto h = CheckOut(stack);
-    if (impl_.TryLock(*h)) {
-      stack.active.push_back(std::move(h));
+    Ledger& ledger = ContextLedger();
+    if (impl_.TryLock(*ledger.Checkout(&impl_).node)) {
       return true;
     }
-    stack.free.push_back(std::move(h));
+    ledger.Cancel();
     return false;
   }
 
   void LockShared() override {
-    auto& stack = SharedStack();
-    auto h = CheckOut(stack);
-    impl_.LockShared(*h);
-    stack.active.push_back(std::move(h));
+    impl_.LockShared(
+        *ContextLedger().Checkout(&impl_, locktable::HoldMode::kShared).node);
   }
 
   bool TryLockShared() override {
     static_assert(locks::SharedTryLockable<L>);
-    auto& stack = SharedStack();
-    auto h = CheckOut(stack);
-    if (impl_.TryLockShared(*h)) {
-      stack.active.push_back(std::move(h));
+    Ledger& ledger = ContextLedger();
+    if (impl_.TryLockShared(
+            *ledger.Checkout(&impl_, locktable::HoldMode::kShared).node)) {
       return true;
     }
-    stack.free.push_back(std::move(h));
+    ledger.Cancel();
     return false;
   }
 
   void Unlock() override {
-    auto& stack = ExclusiveStack();
-    if (stack.active.empty()) {
+    const std::size_t i =
+        ContextLedger().Find(&impl_, locktable::HoldMode::kExclusive);
+    if (i == Ledger::kNotHeld) {
       throw std::logic_error("AnyRwLock::Unlock without matching Lock");
     }
-    auto h = std::move(stack.active.back());
-    stack.active.pop_back();
-    impl_.Unlock(*h);
-    stack.free.push_back(std::move(h));
+    Release(i);
   }
 
   void UnlockShared() override {
-    auto& stack = SharedStack();
-    if (stack.active.empty()) {
+    const std::size_t i =
+        ContextLedger().Find(&impl_, locktable::HoldMode::kShared);
+    if (i == Ledger::kNotHeld) {
       throw std::logic_error(
           "AnyRwLock::UnlockShared without matching LockShared");
     }
-    auto h = std::move(stack.active.back());
-    stack.active.pop_back();
-    impl_.UnlockShared(*h);
-    stack.free.push_back(std::move(h));
+    Release(i);
   }
 
   void UnlockAny() override {
-    if (!ExclusiveStack().active.empty()) {
-      Unlock();
-    } else {
-      UnlockShared();
+    const std::size_t i = ContextLedger().Find(&impl_);
+    if (i == Ledger::kNotHeld) {
+      throw std::logic_error("AnyRwLock::UnlockAny without matching lock");
     }
+    Release(i);
   }
 
   std::size_t StateBytes() const override { return L::kStateBytes; }
@@ -123,30 +108,24 @@ class RwLockAdapter final : public AnyRwLock {
   L& impl() { return impl_; }
 
  private:
-  static constexpr std::size_t kMaxContexts = 1024;
+  using Ledger = locktable::HeldLedger<typename L::Handle>;
 
-  using Stack = internal::HandleStack<L>;
+  static Ledger& ContextLedger() { return P::template ContextLocal<Ledger>(); }
 
-  static std::unique_ptr<typename L::Handle> CheckOut(Stack& stack) {
-    if (!stack.free.empty()) {
-      auto h = std::move(stack.free.back());
-      stack.free.pop_back();
-      return h;
+  // Releases ledger hold i of this lock in the mode it was taken.
+  void Release(std::size_t i) {
+    Ledger& ledger = ContextLedger();
+    typename Ledger::Held& held = ledger.At(i);
+    if (held.mode == locktable::HoldMode::kExclusive) {
+      impl_.Unlock(*held.node);
+    } else {
+      impl_.UnlockShared(*held.node);
     }
-    return std::make_unique<typename L::Handle>();
-  }
-
-  Stack& ExclusiveStack() {
-    return excl_stacks_[static_cast<std::size_t>(P::CpuId()) % kMaxContexts];
-  }
-  Stack& SharedStack() {
-    return shared_stacks_[static_cast<std::size_t>(P::CpuId()) % kMaxContexts];
+    ledger.Release(i);
   }
 
   L impl_;
   std::string name_;
-  std::array<Stack, kMaxContexts> excl_stacks_{};
-  std::array<Stack, kMaxContexts> shared_stacks_{};
 };
 
 }  // namespace cna::core

@@ -78,8 +78,8 @@ namespace {
 // entry point runs through this barrier, mapping to pthread-style errno
 // codes: unlock-without-lock (logic_error) -> EPERM, oversized requests
 // (length_error -- caught first, it derives from logic_error) -> EINVAL,
-// allocation failure (handle pools, multi-key scratch space) -> ENOMEM,
-// anything else -> EINVAL.
+// allocation failure (ledger overflow nodes, multi-key scratch space) ->
+// ENOMEM, anything else -> EINVAL.
 template <typename F>
 int GuardedCall(F&& f) {
   try {

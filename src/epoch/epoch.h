@@ -7,7 +7,7 @@
 // stripe array through an atomic pointer and must eventually free the old one
 // while late readers may still be hashing through it -- but the subsystem is
 // standalone: any P::Atomic-published immutable snapshot can be retired
-// through it (handle_pool.h retires whole handle slabs the same way).
+// through it.
 //
 // The scheme is classic three-epoch EBR (Fraser), with the state laid out the
 // way this codebase lays out every hot distributed indicator (cf. CnaRwLock's
@@ -324,14 +324,6 @@ class Domain {
     return out;
   }
 
-  // Process-wide domain for this platform: the retire target for state whose
-  // owner has no domain of its own (handle_pool.h slab arenas).  Items left
-  // pending at process exit are freed by the static destructor.
-  static Domain& Global() {
-    static Domain domain;
-    return domain;
-  }
-
  private:
   // Slot word layout: [epoch : 47][valid : 1][depth : 16].
   static constexpr int kDepthBits = 16;
@@ -354,9 +346,9 @@ class Domain {
   };
 
   // One line of pin state plus this slot's retire list.  The list is guarded
-  // by a plain TAS (HandlePool's SlotGuard pattern): it is context-private
-  // in the common case, the guard is never held across a yield point, and
-  // being a plain std::atomic_flag it costs the simulator nothing.
+  // by a plain TAS: it is context-private in the common case, the guard is
+  // never held across a yield point, and being a plain std::atomic_flag it
+  // costs the simulator nothing.
   struct alignas(kCacheLineSize) Slot {
     typename P::template Atomic<std::uint64_t> word{0};
     mutable std::atomic_flag busy = ATOMIC_FLAG_INIT;
@@ -394,9 +386,9 @@ class Domain {
   // epoch: no simulated-atomic access may run under the TAS guard (a fiber
   // yielding mid-guard would leave other contexts spinning without a yield
   // point), and see ReclaimQuiesced for why not even per-call loads do.
-  // Deleters run outside the TAS guard: a deleter may itself Retire() (a
-  // snapshot destructor retiring handle slabs) or yield under the
-  // simulator, neither of which may happen while the list lock is held.
+  // Deleters run outside the TAS guard: a deleter may itself Retire() or
+  // yield under the simulator, neither of which may happen while the list
+  // lock is held.
   std::size_t ReclaimSlot(Slot& slot, bool everything, std::uint64_t e) {
     std::vector<Retired> ready;
     {

@@ -21,8 +21,10 @@
 //
 // Mechanics:
 //  * Per stripe, a Treiber-style push-only publication list of Records.
-//    Records are pooled per execution context by the same HandlePool that
-//    pools queue-lock nodes, so steady-state publication allocates nothing.
+//    Records come from the publishing context's held-lock ledger
+//    (held_ledger.h, keyed by the stripe's publication-list head), the same
+//    structure that supplies queue-lock nodes, so steady-state publication
+//    allocates nothing.
 //  * A waiter that fails the stripe try-lock publishes a record, makes one
 //    help attempt (if the stripe is free it becomes the combiner and serves
 //    itself), and then spins only on its own record's state word -- it never
@@ -76,7 +78,7 @@
 
 #include "base/cacheline.h"
 #include "locks/lock_api.h"
-#include "locktable/handle_pool.h"
+#include "locktable/held_ledger.h"
 #include "locktable/lock_table.h"
 #include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
@@ -203,10 +205,9 @@ class CombiningTable {
   template <typename F>
   void ApplyStripe(std::size_t s, F&& fn) {
     if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = telemetry::NowNs();
+      const std::uint64_t t0 = P::NowNs();
       ApplyStripeImpl(s, std::forward<F>(fn));
-      lat_->wait.RecordAt(P::CurrentSocket(), P::CpuId(),
-                          telemetry::NowNs() - t0);
+      lat_->wait.RecordAt(P::CurrentSocket(), P::CpuId(), P::NowNs() - t0);
       return;
     }
     ApplyStripeImpl(s, std::forward<F>(fn));
@@ -259,7 +260,7 @@ class CombiningTable {
 
   // Completion handle for one Submit.  Move-only; Wait()/Ready()/~Future
   // must run on the submitting thread (the record returns to that thread's
-  // pool slot).  The destructor waits if the caller never did.
+  // ledger).  The destructor waits if the caller never did.
   class Future {
    public:
     Future(Future&& o) noexcept
@@ -303,8 +304,7 @@ class CombiningTable {
         return;
       }
       table_->AwaitRecord(stripe_, rec_);
-      table_->record_pool_.Recycle(
-          table_->record_pool_.DetachExact(stripe_, rec_));
+      table_->ReleaseRecord(stripe_, rec_);
       table_ = nullptr;
     }
 
@@ -318,7 +318,7 @@ class CombiningTable {
   // through the Future.
   Future Submit(std::uint64_t key, std::function<void()> fn) {
     const std::size_t s = StripeOf(key);
-    Record& r = record_pool_.Checkout(s);
+    Record& r = *RecordLedger().Checkout(&pub_[s].head).node;
     r.socket = P::CurrentSocket();
     r.invoke = nullptr;
     r.ctx = nullptr;
@@ -384,12 +384,10 @@ class CombiningTable {
     return cstats_.stripe(s);
   }
 
-  // Records this context currently has outstanding (tests/diagnostics).
+  // Records this context currently has outstanding on this table
+  // (tests/diagnostics).
   std::size_t PendingInThisContext() const {
-    return record_pool_.ActiveInThisContext();
-  }
-  std::size_t PooledRecordsInThisContext() const {
-    return record_pool_.PooledInThisContext();
+    return RecordLedger().CountIn(pub_.get(), pub_.get() + table_.stripes());
   }
 
  private:
@@ -399,11 +397,23 @@ class CombiningTable {
     typename P::template Atomic<Record*> head{nullptr};
   };
 
-  // Adapter so the record pool reuses HandlePool verbatim (it only consumes
-  // the nested Handle type).
-  struct RecordBinder {
-    using Handle = Record;
-  };
+  static HeldLedger<Record>& RecordLedger() {
+    return P::template ContextLocal<HeldLedger<Record>>();
+  }
+
+  // Returns record `r`, published on stripe `s`, to this context's ledger.
+  // Matched by the record itself: a context's futures on one stripe may
+  // complete in any order.
+  void ReleaseRecord(std::size_t s, Record* r) {
+    HeldLedger<Record>& ledger = RecordLedger();
+    const std::size_t i = ledger.FindNode(&pub_[s].head, r);
+    if (i == HeldLedger<Record>::kNotHeld) {
+      throw std::logic_error(
+          "locktable::CombiningTable: release of a record this context did "
+          "not publish");
+    }
+    ledger.Release(i);
+  }
 
   template <typename F>
   void ApplyStripeImpl(std::size_t s, F&& fn) {
@@ -416,11 +426,11 @@ class CombiningTable {
       (*static_cast<std::remove_reference_t<F>*>(c))();
     }, std::addressof(fn));
     AwaitRecord(s, &r);
-    record_pool_.Recycle(record_pool_.DetachExact(s, &r));
+    ReleaseRecord(s, &r);
   }
 
   Record& PublishRecord(std::size_t s, void (*invoke)(void*), void* ctx) {
-    Record& r = record_pool_.Checkout(s);
+    Record& r = *RecordLedger().Checkout(&pub_[s].head).node;
     r.socket = P::CurrentSocket();
     r.invoke = invoke;
     r.ctx = ctx;
@@ -603,7 +613,6 @@ class CombiningTable {
   Table table_;
   std::size_t budget_;
   std::unique_ptr<PubStripe[]> pub_;
-  HandlePool<P, RecordBinder> record_pool_;
   CombiningStats cstats_;
   std::unique_ptr<CombiningLatency> lat_;  // null unless collect_latency
 };

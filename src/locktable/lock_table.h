@@ -12,8 +12,8 @@
 // cache lines per stripe, two orders of magnitude more.
 //
 // Surface:
-//  * Lock(key)/TryLock(key)/Unlock(key) -- handle-free locking; per-context
-//    handle pools (handle_pool.h) check queue nodes in and out internally.
+//  * Lock(key)/TryLock(key)/Unlock(key) -- handle-free locking; the calling
+//    context's held-lock ledger (held_ledger.h) supplies the queue nodes.
 //  * Guard        -- RAII single-key critical section.
 //  * MultiGuard   -- acquires several keys' stripes in ascending stripe order
 //    (deduplicated), giving deadlock-free multi-key transactions; releases in
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "locks/lock_api.h"
-#include "locktable/handle_pool.h"
+#include "locktable/held_ledger.h"
 #include "locktable/stripe_array.h"
 #include "locktable/table_latency.h"
 #include "locktable/table_stats.h"
@@ -87,6 +87,8 @@ class LockTable {
  public:
   using LockType = L;
   using Handle = typename L::Handle;
+  // Shared by every table and mutex over L in one execution context.
+  using Ledger = HeldLedger<Handle>;
 
   // Upper bound on the namespace (see StripeArray).
   static constexpr std::size_t kMaxStripes = StripeArray<L>::kMaxStripes;
@@ -154,43 +156,46 @@ class LockTable {
   bool TryLockStripe(std::size_t s) {
     static_assert(locks::TryLockable<L>,
                   "TryLock requires a lock with a try-lock path");
-    Handle& h = pool_.Checkout(s);
-    if (StripeLock(s).TryLock(h)) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    typename Ledger::Held& held = ledger.Checkout(&lock);
+    if (lock.TryLock(*held.node)) {
       stats_.OnAcquire(s, /*was_contended=*/false, /*multi_key=*/false);
       if (lat_ != nullptr && telemetry::Enabled()) {
-        lat_->tracker.Push(P::CpuId(), s, telemetry::NowNs());
+        held.acquire_ns = P::NowNs();
       }
       LockdepAcquired(s, /*trylock=*/true, /*multi_key=*/false, 0);
       return true;
     }
     stats_.OnTryLockFailure(s);
-    pool_.Recycle(pool_.Detach(s));
+    ledger.Cancel();
     return false;
   }
 
+  // Throws std::logic_error if this context does not hold stripe `s`.
   void UnlockStripe(std::size_t s) {
-    RecordHold(s);
-    LockdepReleased(s);
-    Handle* h = pool_.Detach(s);
-    StripeLock(s).Unlock(*h);
-    pool_.Recycle(h);
-    UnparkAfterRelease(s);
+    if (!TryUnlockStripe(s)) {
+      throw std::logic_error(
+          "locktable::LockTable: unlock of a stripe this context does not "
+          "hold");
+    }
   }
 
   // UnlockStripe() that reports "not held by this context" as false instead
-  // of throwing -- ownership check and release in ONE pass over the pool's
-  // active list, for callers that must probe several tables for the holder
+  // of throwing, for callers that must probe several tables for the holder
   // (the resizable table's Unlock walking current snapshot then migration
   // predecessor).
   bool TryUnlockStripe(std::size_t s) {
-    Handle* h = pool_.TryDetach(s);
-    if (h == nullptr) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    const std::size_t i = ledger.Find(&lock);
+    if (i == Ledger::kNotHeld) {
       return false;
     }
-    RecordHold(s);
+    RecordHold(ledger.At(i).acquire_ns);
     LockdepReleased(s);
-    StripeLock(s).Unlock(*h);
-    pool_.Recycle(h);
+    lock.Unlock(*ledger.At(i).node);
+    ledger.Release(i);
     UnparkAfterRelease(s);
     return true;
   }
@@ -219,8 +224,8 @@ class LockTable {
 
   // Locks the key set's stripes (ascending); writes them into out[] and
   // returns how many.  Pass out[0..n) to UnlockStripesN() to release.
-  // All-or-nothing: if a mid-transaction acquisition throws (handle
-  // allocation under memory pressure), the stripes already taken are released
+  // All-or-nothing: if a mid-transaction acquisition throws (an overflow
+  // ledger node under memory pressure), the stripes already taken are released
   // before the exception propagates, so the caller never holds a partial
   // transaction it cannot identify.
   std::size_t LockKeysInto(const std::uint64_t* keys, std::size_t count,
@@ -349,20 +354,23 @@ class LockTable {
   // callers that must not act before confirming ownership, e.g. the
   // combining layer's checked Unlock).
   bool HoldsStripe(std::size_t s) const {
-    return pool_.HoldsInThisContext(s);
+    return ContextLedger().Find(&array_.Stripe(s)) != Ledger::kNotHeld;
   }
 
-  // Stripes this execution context currently holds (tests/diagnostics).
-  std::size_t HeldByThisContext() const { return pool_.ActiveInThisContext(); }
-  std::size_t PooledHandlesInThisContext() const {
-    return pool_.PooledInThisContext();
+  // Stripes of this table the calling context currently holds
+  // (tests/diagnostics).
+  std::size_t HeldByThisContext() const {
+    return ContextLedger().CountIn(array_.begin(), array_.end());
   }
+
+  // The calling context's ledger for L (tests/diagnostics).
+  static Ledger& ContextLedger() { return P::template ContextLocal<Ledger>(); }
 
  private:
   // Validate-all-then-release body of UnlockKeys.
   void UnlockDistinct(const std::size_t* stripes, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!pool_.HoldsInThisContext(stripes[i])) {
+      if (!HoldsStripe(stripes[i])) {
         throw std::logic_error(
             "locktable::LockTable: UnlockKeys of a stripe this context does "
             "not hold");
@@ -372,16 +380,18 @@ class LockTable {
   }
 
   void AcquireStripe(std::size_t s, bool multi_key) {
+    L& lock = StripeLock(s);
+    typename Ledger::Held& held = ContextLedger().Checkout(&lock);
     if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = telemetry::NowNs();
-      AcquireStripeImpl(s, multi_key);
-      const std::uint64_t t1 = telemetry::NowNs();
+      const std::uint64_t t0 = P::NowNs();
+      AcquireStripeImpl(lock, *held.node, s, multi_key);
+      const std::uint64_t t1 = P::NowNs();
       lat_->wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
-      lat_->tracker.Push(P::CpuId(), s, t1);
+      held.acquire_ns = t1;
       LockdepAcquired(s, /*trylock=*/false, multi_key, t1 - t0);
       return;
     }
-    AcquireStripeImpl(s, multi_key);
+    AcquireStripeImpl(lock, *held.node, s, multi_key);
     LockdepAcquired(s, /*trylock=*/false, multi_key, 0);
   }
 
@@ -416,15 +426,13 @@ class LockTable {
   }
 
   // Hold time runs from ownership (AcquireStripe/TryLockStripe completion)
-  // to the start of the release.  Best-effort: a Pop miss (tracker overflow,
-  // telemetry enabled mid-hold) records nothing.
-  void RecordHold(std::size_t s) {
-    if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = lat_->tracker.Pop(P::CpuId(), s);
-      if (t0 != 0) {
-        lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(),
-                            telemetry::NowNs() - t0);
-      }
+  // to the start of the release.  A hold taken while telemetry was off
+  // carries no stamp and records nothing.
+  void RecordHold(std::uint64_t acquire_ns) {
+    if (lat_ != nullptr && telemetry::Enabled() &&
+        acquire_ns != Ledger::kUnstamped) {
+      lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(),
+                          P::NowNs() - acquire_ns);
     }
   }
 
@@ -476,9 +484,7 @@ class LockTable {
     }
   }
 
-  void AcquireStripeImpl(std::size_t s, bool multi_key) {
-    Handle& h = pool_.Checkout(s);
-    L& lock = StripeLock(s);
+  void AcquireStripeImpl(L& lock, Handle& h, std::size_t s, bool multi_key) {
     if constexpr (kTableParks) {
       if (blocking_) {
         AcquireStripeParked(lock, h, s, multi_key);
@@ -509,7 +515,6 @@ class LockTable {
   std::uint32_t probe_mask_;  // stats_probe_period - 1 (period power of two)
   bool blocking_;             // immutable after construction
   int lockdep_cls_;           // lock class shared by every stripe
-  HandlePool<P, L> pool_;
   TableStats stats_;
   std::unique_ptr<TableLatency> lat_;  // null unless collect_latency
 };

@@ -199,8 +199,8 @@ class ResizableLockTable {
   // Lock keeps the epoch pin it takes for the snapshot walk held until the
   // matching Unlock: the pin is one depth bump on a context-private line,
   // and holding it across the critical section is what makes Unlock's walk
-  // (and its post-release pool bookkeeping -- see Unlock) safe without a
-  // second publish/validate round trip per operation.  The cost is that a
+  // (and its post-release reads of the snapshot -- see Unlock) safe without
+  // a second publish/validate round trip per operation.  The cost is that a
   // critical section stalls reclamation for its duration -- standard EBR,
   // and bounded by the section length.
   void Lock(std::uint64_t key) {
@@ -223,7 +223,7 @@ class ResizableLockTable {
         validation_retries_.fetch_add(1, std::memory_order_relaxed);
       }
     } catch (...) {
-      // LockStripe can throw (handle-slab allocation under memory
+      // LockStripe can throw (an overflow ledger node under memory
       // pressure); a leaked pin would block epoch advance -- and thus all
       // reclamation -- forever.
       domain_.Unpin(pin);
@@ -262,8 +262,8 @@ class ResizableLockTable {
   // That pin is load-bearing past the lock-word release: the held stripe
   // itself blocks every retirement chain (held stripe -> the snapshot
   // cannot finish draining -> the migration cannot complete -> the snapshot
-  // is never retired), but only UP TO the release.  The pool bookkeeping
-  // after it (Recycle returning the handle to the snapshot's free list)
+  // is never retired), but only UP TO the release.  What the snapshot's
+  // table does after it (reading its blocking flag to wake a parked waiter)
   // would otherwise race the resizer, which can drain the stripe the
   // instant the word is released, complete the migration, retire the
   // snapshot, and reclaim it two epoch advances later.  Held since before
@@ -571,15 +571,16 @@ class ResizableLockTable {
     }
     Snapshot* next =
         new Snapshot(this, new_stripes, options_.padding, /*migrating=*/true);
-    // Pre-warm the resizer's handle pool against the old snapshot BEFORE
-    // publishing anything: the first acquisition from a context whose free
-    // list is dry allocates a whole handle slab and can throw bad_alloc,
-    // and up to here a throw is a clean rollback (nothing published, just
-    // delete the unobserved snapshot).  After it the pool holds a slab's
-    // worth of free handles and the resizer checks out at most one at a
-    // time, so the post-publish drains below allocate nothing -- once
-    // current_ moves there is no aborting a migration halfway (acquirers
-    // may already hold stripes of `next`; see DrainOldStripeNofail).
+    // Pre-warm the resizer's ledger against the old snapshot BEFORE
+    // publishing anything: a context's first acquisition builds its ledger,
+    // and one nested past the ledger's inline nodes allocates an overflow
+    // node -- either can throw bad_alloc, and up to here a throw is a clean
+    // rollback (nothing published, just delete the unobserved snapshot).
+    // After it the ledger has a free node at the resizer's nesting depth
+    // and the resizer checks out at most one at a time, so the post-publish
+    // drains below allocate nothing -- once current_ moves there is no
+    // aborting a migration halfway (acquirers may already hold stripes of
+    // `next`; see DrainOldStripeNofail).
     try {
       DrainOldStripe(*old_snap, 0);
     } catch (...) {

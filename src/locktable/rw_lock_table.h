@@ -20,10 +20,10 @@
 //  * Per-stripe read/write/writer-wait counters (table_stats.h), off by
 //    default so the fast path carries zero instrumentation.
 //
-// Handles are pooled per execution context exactly as in the mutex table
-// (handle_pool.h), one pool per mode: a context may hold a stripe in only
-// one mode at a time, but the two pools let Unlock(key) discover the mode
-// and keep misuse (unlock of an unheld stripe) a checked error.
+// Queue nodes come from the calling context's held-lock ledger exactly as in
+// the mutex table (held_ledger.h).  Each ledger entry records its mode, which
+// is how Unlock(key) discovers the mode and how a mode-specific unlock of a
+// stripe not held in that mode stays a checked error.
 #ifndef CNA_LOCKTABLE_RW_LOCK_TABLE_H_
 #define CNA_LOCKTABLE_RW_LOCK_TABLE_H_
 
@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "locks/lock_api.h"
-#include "locktable/handle_pool.h"
+#include "locktable/held_ledger.h"
 #include "locktable/lock_table.h"  // LockTableOptions
 #include "locktable/stripe_array.h"
 #include "locktable/table_latency.h"
@@ -53,6 +53,8 @@ class RwLockTable {
  public:
   using LockType = L;
   using Handle = typename L::Handle;
+  // Shared by every table and rwlock over L in one execution context.
+  using Ledger = HeldLedger<Handle>;
 
   static constexpr std::size_t kMaxStripes = StripeArray<L>::kMaxStripes;
   static constexpr std::size_t kInlineTxnKeys = 8;
@@ -110,23 +112,23 @@ class RwLockTable {
   }
 
   void LockSharedStripe(std::size_t s) {
+    L& lock = StripeLock(s);
+    Handle& h = *ContextLedger().Checkout(&lock, HoldMode::kShared).node;
     if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = telemetry::NowNs();
-      LockSharedStripeImpl(s);
-      const std::uint64_t wait = telemetry::NowNs() - t0;
+      const std::uint64_t t0 = P::NowNs();
+      LockSharedStripeImpl(lock, h, s);
+      const std::uint64_t wait = P::NowNs() - t0;
       lat_->read_wait.RecordAt(P::CurrentSocket(), P::CpuId(), wait);
       LockdepAcquired(s, /*trylock=*/false, /*shared=*/true,
                       /*multi_key=*/false, wait);
       return;
     }
-    LockSharedStripeImpl(s);
+    LockSharedStripeImpl(lock, h, s);
     LockdepAcquired(s, /*trylock=*/false, /*shared=*/true, /*multi_key=*/false,
                     0);
   }
 
-  void LockSharedStripeImpl(std::size_t s) {
-    Handle& h = shared_pool_.Checkout(s);
-    L& lock = StripeLock(s);
+  void LockSharedStripeImpl(L& lock, Handle& h, std::size_t s) {
     if constexpr (kTableParks) {
       if (blocking_) {
         AcquireSharedParked(lock, h, s);
@@ -151,31 +153,22 @@ class RwLockTable {
   bool TryLockSharedStripe(std::size_t s) {
     static_assert(locks::SharedTryLockable<L>,
                   "TryLockShared requires a shared try-lock path");
-    Handle& h = shared_pool_.Checkout(s);
-    if (StripeLock(s).TryLockShared(h)) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    if (lock.TryLockShared(*ledger.Checkout(&lock, HoldMode::kShared).node)) {
       stats_.OnReadAcquire(s, /*was_contended=*/false);
       LockdepAcquired(s, /*trylock=*/true, /*shared=*/true, /*multi_key=*/false,
                       0);
       return true;
     }
     stats_.OnTryLockFailure(s);
-    shared_pool_.Recycle(shared_pool_.Detach(s));
+    ledger.Cancel();
     return false;
   }
 
+  // Throws std::logic_error if this context does not hold stripe `s` shared.
   void UnlockSharedStripe(std::size_t s) {
-    LockdepReleased(s);
-    Handle* h = shared_pool_.Detach(s);
-    StripeLock(s).UnlockShared(*h);
-    shared_pool_.Recycle(h);
-    if constexpr (kTableParks) {
-      if (blocking_) {
-        // Only a writer can be blocked by a reader, and only one can win the
-        // now-free stripe -- wake one, it revalidates with TryLock.
-        parking::ParkingLot<P>::Global().UnparkOne(&StripeLock(s),
-                                                   P::CurrentSocket());
-      }
-    }
+    ReleaseShared(s, HeldIndex(s, HoldMode::kShared));
   }
 
   // --- Writer side ---
@@ -195,50 +188,44 @@ class RwLockTable {
   bool TryLockExclusiveStripe(std::size_t s) {
     static_assert(locks::TryLockable<L>,
                   "TryLockExclusive requires a try-lock path");
-    Handle& h = excl_pool_.Checkout(s);
-    if (StripeLock(s).TryLock(h)) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    typename Ledger::Held& held = ledger.Checkout(&lock);
+    if (lock.TryLock(*held.node)) {
       stats_.OnWriteAcquire(s, /*waited=*/false);
       if (lat_ != nullptr && telemetry::Enabled()) {
-        lat_->tracker.Push(P::CpuId(), s, telemetry::NowNs());
+        held.acquire_ns = P::NowNs();
       }
       LockdepAcquired(s, /*trylock=*/true, /*shared=*/false,
                       /*multi_key=*/false, 0);
       return true;
     }
     stats_.OnTryLockFailure(s);
-    excl_pool_.Recycle(excl_pool_.Detach(s));
+    ledger.Cancel();
     return false;
   }
 
+  // Throws std::logic_error if this context does not hold stripe `s`
+  // exclusively.
   void UnlockExclusiveStripe(std::size_t s) {
-    LockdepReleased(s);
-    if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = lat_->tracker.Pop(P::CpuId(), s);
-      if (t0 != 0) {
-        lat_->write_hold.RecordAt(P::CurrentSocket(), P::CpuId(),
-                                  telemetry::NowNs() - t0);
-      }
-    }
-    Handle* h = excl_pool_.Detach(s);
-    StripeLock(s).Unlock(*h);
-    excl_pool_.Recycle(h);
-    if constexpr (kTableParks) {
-      if (blocking_) {
-        // A whole reader convoy may have parked behind this writer; all of
-        // them can enter now, so wake everything and let them revalidate.
-        parking::ParkingLot<P>::Global().UnparkAll(&StripeLock(s));
-      }
-    }
+    ReleaseExclusive(s, HeldIndex(s, HoldMode::kExclusive));
   }
 
-  // pthread_rwlock_unlock-style release: figures out which mode this context
-  // holds the key's stripe in.  Throws std::logic_error if it holds neither.
+  // pthread_rwlock_unlock-style release: releases the stripe in whichever
+  // mode this context holds it (its newest hold of the stripe).  Throws
+  // std::logic_error if it holds it in neither.
   void Unlock(std::uint64_t key) {
     const std::size_t s = StripeOf(key);
-    if (excl_pool_.HoldsInThisContext(s)) {
-      UnlockExclusiveStripe(s);
+    const std::size_t i = ContextLedger().Find(&StripeLock(s));
+    if (i == Ledger::kNotHeld) {
+      throw std::logic_error(
+          "locktable::RwLockTable: Unlock of a stripe this context does not "
+          "hold");
+    }
+    if (ContextLedger().At(i).mode == HoldMode::kExclusive) {
+      ReleaseExclusive(s, i);
     } else {
-      UnlockSharedStripe(s);  // Detach throws if not held in this mode either
+      ReleaseShared(s, i);
     }
   }
 
@@ -375,17 +362,76 @@ class RwLockTable {
     return stats_.stripe(s);
   }
 
+  // Stripes of this table the calling context holds in each mode.
   std::size_t SharedHeldByThisContext() const {
-    return shared_pool_.ActiveInThisContext();
+    return ContextLedger().CountIn(array_.begin(), array_.end(),
+                                   HoldMode::kShared);
   }
   std::size_t ExclusiveHeldByThisContext() const {
-    return excl_pool_.ActiveInThisContext();
+    return ContextLedger().CountIn(array_.begin(), array_.end(),
+                                   HoldMode::kExclusive);
   }
 
+  // The calling context's ledger for L (tests/diagnostics).
+  static Ledger& ContextLedger() { return P::template ContextLocal<Ledger>(); }
+
  private:
+  // Ledger position of this context's hold of stripe `s` in `mode`; throws
+  // std::logic_error if there is none.
+  std::size_t HeldIndex(std::size_t s, HoldMode mode) {
+    const std::size_t i = ContextLedger().Find(&StripeLock(s), mode);
+    if (i == Ledger::kNotHeld) {
+      throw std::logic_error(
+          mode == HoldMode::kShared
+              ? "locktable::RwLockTable: shared unlock of a stripe this "
+                "context does not hold shared"
+              : "locktable::RwLockTable: exclusive unlock of a stripe this "
+                "context does not hold exclusively");
+    }
+    return i;
+  }
+
+  // Releases hold `i` of the ledger, a shared hold of stripe `s`.
+  void ReleaseShared(std::size_t s, std::size_t i) {
+    Ledger& ledger = ContextLedger();
+    LockdepReleased(s);
+    StripeLock(s).UnlockShared(*ledger.At(i).node);
+    ledger.Release(i);
+    if constexpr (kTableParks) {
+      if (blocking_) {
+        // Only a writer can be blocked by a reader, and only one can win the
+        // now-free stripe -- wake one, it revalidates with TryLock.
+        parking::ParkingLot<P>::Global().UnparkOne(&StripeLock(s),
+                                                   P::CurrentSocket());
+      }
+    }
+  }
+
+  // Releases hold `i` of the ledger, an exclusive hold of stripe `s`.
+  void ReleaseExclusive(std::size_t s, std::size_t i) {
+    Ledger& ledger = ContextLedger();
+    LockdepReleased(s);
+    const std::uint64_t acquire_ns = ledger.At(i).acquire_ns;
+    if (lat_ != nullptr && telemetry::Enabled() &&
+        acquire_ns != Ledger::kUnstamped) {
+      lat_->write_hold.RecordAt(P::CurrentSocket(), P::CpuId(),
+                                P::NowNs() - acquire_ns);
+    }
+    StripeLock(s).Unlock(*ledger.At(i).node);
+    ledger.Release(i);
+    if constexpr (kTableParks) {
+      if (blocking_) {
+        // A whole reader convoy may have parked behind this writer; all of
+        // them can enter now, so wake everything and let them revalidate.
+        parking::ParkingLot<P>::Global().UnparkAll(&StripeLock(s));
+      }
+    }
+  }
+
   void UnlockDistinct(const std::size_t* stripes, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!excl_pool_.HoldsInThisContext(stripes[i])) {
+      if (ContextLedger().Find(&StripeLock(stripes[i]), HoldMode::kExclusive) ==
+          Ledger::kNotHeld) {
         throw std::logic_error(
             "locktable::RwLockTable: UnlockKeys of a stripe this context "
             "does not hold exclusively");
@@ -395,23 +441,23 @@ class RwLockTable {
   }
 
   void AcquireExclusiveStripe(std::size_t s, bool multi_key = false) {
+    L& lock = StripeLock(s);
+    typename Ledger::Held& held = ContextLedger().Checkout(&lock);
     if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = telemetry::NowNs();
-      AcquireExclusiveStripeImpl(s);
-      const std::uint64_t t1 = telemetry::NowNs();
+      const std::uint64_t t0 = P::NowNs();
+      AcquireExclusiveStripeImpl(lock, *held.node, s);
+      const std::uint64_t t1 = P::NowNs();
       lat_->write_wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
-      lat_->tracker.Push(P::CpuId(), s, t1);
+      held.acquire_ns = t1;
       LockdepAcquired(s, /*trylock=*/false, /*shared=*/false, multi_key,
                       t1 - t0);
       return;
     }
-    AcquireExclusiveStripeImpl(s);
+    AcquireExclusiveStripeImpl(lock, *held.node, s);
     LockdepAcquired(s, /*trylock=*/false, /*shared=*/false, multi_key, 0);
   }
 
-  void AcquireExclusiveStripeImpl(std::size_t s) {
-    Handle& h = excl_pool_.Checkout(s);
-    L& lock = StripeLock(s);
+  void AcquireExclusiveStripeImpl(L& lock, Handle& h, std::size_t s) {
     if constexpr (kTableParks) {
       if (blocking_) {
         AcquireExclusiveParked(lock, h, s);
@@ -529,8 +575,6 @@ class RwLockTable {
   StripeArray<L> array_;
   bool blocking_;  // immutable after construction
   int lockdep_cls_;  // lock class shared by every stripe
-  HandlePool<P, L> shared_pool_;
-  HandlePool<P, L> excl_pool_;
   RwTableStats stats_;
   std::unique_ptr<RwTableLatency> lat_;  // null unless collect_latency
 };

@@ -9,6 +9,12 @@
 // once: construction, aligned placement, destruction, the kMaxStripes bound,
 // and the hash all live here, and the tables add their locking surfaces on
 // top.
+//
+// The first stripe always starts a cache line, in the compact layout too (at
+// most 56 B of slack, outside LockStateBytes()).  Which stripes share a line
+// is then a function of the geometry alone, not of where the allocator put
+// the array -- the simulator models memory by line, so an 8-byte-aligned
+// array made simulated results depend on the heap's history.
 #ifndef CNA_LOCKTABLE_STRIPE_ARRAY_H_
 #define CNA_LOCKTABLE_STRIPE_ARRAY_H_
 
@@ -45,9 +51,7 @@ class StripeArray {
                     ? RoundUp(sizeof(L), kCacheLineSize)
                     : sizeof(L)),
         padding_(padding) {
-    const std::size_t align = padding == StripePadding::kCacheLine
-                                  ? std::max(alignof(L), kCacheLineSize)
-                                  : alignof(L);
+    const std::size_t align = std::max(alignof(L), kCacheLineSize);
     storage_.resize(stripes_ * stride_ + align);
     const auto raw = reinterpret_cast<std::uintptr_t>(storage_.data());
     base_ = reinterpret_cast<std::byte*>(RoundUp(raw, align));
@@ -83,6 +87,13 @@ class StripeArray {
   L& Stripe(std::size_t s) {
     return *std::launder(reinterpret_cast<L*>(base_ + s * stride_));
   }
+  const L& Stripe(std::size_t s) const {
+    return *std::launder(reinterpret_cast<const L*>(base_ + s * stride_));
+  }
+
+  // Address range the stripes occupy: [begin(), end()).
+  const void* begin() const { return base_; }
+  const void* end() const { return base_ + stripes_ * stride_; }
 
  private:
   static std::size_t ValidatedStripes(std::size_t v) {

@@ -1,8 +1,10 @@
 // Latency sinks for the lock-table flavors.
 //
 // Each struct bundles the telemetry histograms a table flavor records into
-// (registered by name in the global registry, src/telemetry/metrics.h) plus
-// a HoldTracker for acquire->release pairing.  A table allocates its sink
+// (registered by name in the global registry, src/telemetry/metrics.h); the
+// acquire stamp that hold times are measured from lives in the holder's
+// ledger entry (held_ledger.h).  Tables stamp with P::NowNs(), so under the
+// simulator these histograms hold simulated time.  A table allocates its sink
 // only when its options request latency collection, so the default table
 // carries no timing state and no timing code on the lock path; with the sink
 // allocated, recording is still gated on the process-global
@@ -25,7 +27,6 @@ struct TableLatency {
                                                         ".hold_ns")) {}
   telemetry::Histogram& wait;
   telemetry::Histogram& hold;
-  telemetry::HoldTracker tracker;
 };
 
 // RwLockTable: read- and write-side acquisition latency, write hold time.
@@ -40,7 +41,6 @@ struct RwTableLatency {
   telemetry::Histogram& read_wait;
   telemetry::Histogram& write_wait;
   telemetry::Histogram& write_hold;
-  telemetry::HoldTracker tracker;
 };
 
 // CombiningTable: operation latency (submit to completion) and the size of

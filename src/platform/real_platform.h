@@ -6,7 +6,10 @@
 //   * CurrentSocket()  -- the paper's current_numa_node(),
 //   * Random()/TlsSlot() -- keep_lock_local() support,
 //   * OnDataAccess()   -- critical-section data-traffic hook (no-op here; the
-//                         hardware's caches do the real thing).
+//                         hardware's caches do the real thing),
+//   * NowNs()          -- the clock latency telemetry stamps with,
+//   * ContextLocal<T>() -- one T per execution context (the held-lock
+//                         ledger, locktable/held_ledger.h).
 // SimPlatform (src/sim/sim_platform.h) implements the same interface against
 // the NUMA machine simulator, so one algorithm body serves both worlds.
 #ifndef CNA_PLATFORM_REAL_PLATFORM_H_
@@ -20,6 +23,7 @@
 #include "base/spin_hint.h"
 #include "platform/park.h"
 #include "platform/thread_context.h"
+#include "telemetry/metrics.h"
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -67,6 +71,21 @@ struct RealPlatform {
   // user-space qspinlock build.
   static int CpuId() {
     return platform::ThreadContext::Current().ThreadId();
+  }
+
+  // The clock the tables' wait and hold histograms use: steady_clock here;
+  // the simulator's NowNs() is the fiber's simulated clock instead.
+  static std::uint64_t NowNs() { return telemetry::NowNs(); }
+
+  // This thread's instance of T, built on first use and destroyed when the
+  // thread exits.  For state that belongs to the execution context rather
+  // than to any one lock (the held-lock ledger); never index a shared array
+  // by CpuId() for that -- thread ids are not reused, so such arrays alias
+  // live threads once enough threads have come and gone.
+  template <typename T>
+  static T& ContextLocal() {
+    thread_local T value;
+    return value;
   }
 
   // Critical-section data-access hook: on real hardware the cache hierarchy

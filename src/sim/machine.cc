@@ -1,6 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <sstream>
 
@@ -521,6 +522,11 @@ int Machine::CurrentSocket() const { return Cur().socket; }
 std::uint64_t Machine::NowNs() const { return Cur().clock_ns; }
 std::uint64_t Machine::Random() { return Cur().rng.Next(); }
 std::uint64_t& Machine::TlsSlot() { return Cur().tls_slot; }
+
+std::size_t Machine::NextContextLocalSlot() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 CacheStats Machine::CpuStats(int cpu) const {
   if (cpu < 0 || cpu >= static_cast<int>(cpu_stats_.size())) {

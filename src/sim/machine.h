@@ -142,6 +142,8 @@ struct Fiber {
   int socket = -1;
   XorShift64 rng{1};
   std::uint64_t tls_slot = 0;
+  // Machine::ContextLocal instances, indexed by per-type slot.
+  std::vector<std::shared_ptr<void>> locals;
   // Spin detection: line + value bits of the last load, and how many times
   // the same unchanged value has been re-read in a row.
   std::uintptr_t last_load_line = 0;
@@ -240,6 +242,20 @@ class Machine {
   int CurrentCpu() const;
   int CurrentSocket() const;
   std::uint64_t NowNs() const;           // current fiber's local clock
+  // The current CPU's instance of T (SimPlatform::ContextLocal): built on
+  // first use and destroyed with this Machine.
+  template <typename T>
+  T& ContextLocal() {
+    static const std::size_t slot = NextContextLocalSlot();
+    std::vector<std::shared_ptr<void>>& locals = Cur().locals;
+    if (slot >= locals.size()) {
+      locals.resize(slot + 1);
+    }
+    if (locals[slot] == nullptr) {
+      locals[slot] = std::make_shared<T>();
+    }
+    return *static_cast<T*>(locals[slot].get());
+  }
   std::uint64_t Random();
   std::uint64_t& TlsSlot();
 
@@ -275,6 +291,7 @@ class Machine {
                       bool woken);
   internal::Fiber& Cur();
   const internal::Fiber& Cur() const;
+  static std::size_t NextContextLocalSlot();
   static void FiberTrampoline(unsigned hi, unsigned lo);
   void RunFiberBody(internal::Fiber* fiber);
 

@@ -8,6 +8,7 @@
 #include "platform/park.h"
 #include "sim/machine.h"
 #include "sim/sim_atomic.h"
+#include "telemetry/metrics.h"
 
 namespace cna {
 
@@ -59,6 +60,28 @@ struct SimPlatform {
       m->AccessSharedRegion(/*region=*/0, /*first_line=*/object_id,
                             /*count=*/1, write);
     }
+  }
+
+  // The fiber's simulated clock (Machine::NowNs(): no charge, no yield), so
+  // latency histograms under the simulator hold simulated time and stamping
+  // them cannot change the schedule.  Host time outside fibers.
+  static std::uint64_t NowNs() {
+    if (sim::Machine* m = ActiveMachine()) {
+      return m->NowNs();
+    }
+    return telemetry::NowNs();
+  }
+
+  // One T per simulated CPU, owned by the running Machine (built on first
+  // use, destroyed with the Machine, so nothing leaks from one Machine's
+  // schedule into the next); a thread-local instance outside fibers.
+  template <typename T>
+  static T& ContextLocal() {
+    if (sim::Machine* m = ActiveMachine()) {
+      return m->ContextLocal<T>();
+    }
+    thread_local T fallback;
+    return fallback;
   }
 
   static void ExternalWork(std::uint64_t approx_ns) {

@@ -47,11 +47,15 @@ int InternIn(std::string_view name, char (*names)[kNameBytes], int cap,
 }
 
 // ---------------------------------------------------------------------------
-// Held-lock stacks: 256 padded slots indexed by ctx % kHeldSlots (the
-// HandlePool/HoldTracker idiom -- thread_local is wrong under the fiber
-// simulator).  The TAS guard is never held across a yield point.
+// Held-lock stacks: 256 padded slots indexed by ctx % kHeldSlots
+// (thread_local is wrong under the fiber simulator).  Contexts whose ids are
+// congruent modulo kHeldSlots share a slot, so every entry carries its full
+// context id and every reader skips the entries of other contexts -- a
+// context must never see another's held locks as its own.  The TAS guard is
+// never held across a yield point.
 // ---------------------------------------------------------------------------
 struct HeldEntry {
+  int ctx = 0;
   std::uint16_t cls = 0;
   std::uint16_t site = 0;
   std::uintptr_t instance = 0;
@@ -69,6 +73,25 @@ struct alignas(64) HeldSlot {
 };
 
 HeldSlot g_held[kHeldSlots];
+
+// Entries of `slot` that belong to context `ctx`.  Caller holds the guard.
+int OwnDepth(const HeldSlot& slot, int ctx) {
+  int n = 0;
+  for (int i = 0; i < slot.n; ++i) {
+    n += slot.e[i].ctx == ctx ? 1 : 0;
+  }
+  return n;
+}
+
+// Start of the shortest range [first, end) of `slot` that holds the last
+// `count` entries of context `ctx` (all of them if it has fewer).
+int FirstOfLastOwn(const HeldSlot& slot, int ctx, int end, int count) {
+  int first = end;
+  for (int own = 0; first > 0 && own < count;) {
+    own += slot.e[--first].ctx == ctx ? 1 : 0;
+  }
+  return first;
+}
 
 class FlagGuard {
  public:
@@ -285,14 +308,19 @@ void AddEdge(int from, int to, const Witness& w) {
   }
 }
 
-// Build the witness chain for a slot about to acquire (cls, site, instance):
-// the held entries (most recent kChainMax - 1) plus the new acquisition.
+// Build the witness chain for context `ctx` about to acquire (cls, site,
+// instance): its own held entries in the slot (most recent kChainMax - 1)
+// plus the new acquisition.
 void BuildChain(const HeldSlot& slot, int ctx, int cls, int site,
                 std::uintptr_t instance, std::uint64_t ts_ns, Witness* w) {
   w->tid = ctx;
   w->ts_ns = ts_ns;
   int d = 0;
-  for (int i = std::max(0, slot.n - (kChainMax - 1)); i < slot.n; ++i) {
+  for (int i = FirstOfLastOwn(slot, ctx, slot.n, kChainMax - 1); i < slot.n;
+       ++i) {
+    if (slot.e[i].ctx != ctx) {
+      continue;
+    }
     w->chain[d].cls = slot.e[i].cls;
     w->chain[d].site = slot.e[i].site;
     w->chain[d].instance = slot.e[i].instance;
@@ -305,13 +333,19 @@ void BuildChain(const HeldSlot& slot, int ctx, int cls, int site,
 }
 
 // Accumulate the chain ending at (and including) entry index `last` into the
-// fold table.  Caller holds the slot guard.
+// fold table: that entry's context's own entries only.  Caller holds the
+// slot guard.
 void RecordFold(const HeldSlot& slot, int last, std::uint64_t hold_ns,
                 std::uint64_t wait_ns) {
+  const int ctx = slot.e[last].ctx;
   std::uint16_t cls[kChainMax];
   std::uint16_t site[kChainMax];
   int depth = 0;
-  for (int i = std::max(0, last - (kChainMax - 1)); i <= last; ++i) {
+  for (int i = FirstOfLastOwn(slot, ctx, last + 1, kChainMax); i <= last;
+       ++i) {
+    if (slot.e[i].ctx != ctx) {
+      continue;
+    }
     cls[depth] = slot.e[i].cls;
     site[depth] = slot.e[i].site;
     ++depth;
@@ -395,8 +429,8 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
       // MultiGuard ascending-instance invariant: within one multi-key
       // transaction, stripes of the same class must strictly ascend.
       for (int i = 0; i < slot.n; ++i) {
-        if (slot.e[i].cls == cls && slot.e[i].nested &&
-            slot.e[i].instance >= instance) {
+        if (slot.e[i].ctx == ctx && slot.e[i].cls == cls &&
+            slot.e[i].nested && slot.e[i].instance >= instance) {
           FlagGuard gg(g_graph_busy);
           RecordInversionLocked(cls, cls, w, nullptr, 0);
           break;
@@ -406,7 +440,7 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
     std::uint64_t seen = 0;
     for (int i = 0; i < slot.n; ++i) {
       const int held = slot.e[i].cls;
-      if (held == cls || (seen >> held & 1) != 0) {
+      if (slot.e[i].ctx != ctx || held == cls || (seen >> held & 1) != 0) {
         continue;
       }
       seen |= std::uint64_t{1} << held;
@@ -418,6 +452,7 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
     return;  // dropped; the matching release becomes a no-op pop miss
   }
   HeldEntry& e = slot.e[slot.n];
+  e.ctx = ctx;
   e.cls = static_cast<std::uint16_t>(cls);
   e.site = static_cast<std::uint16_t>(site);
   e.instance = instance;
@@ -436,15 +471,16 @@ void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance) {
   HeldSlot& slot = g_held[static_cast<unsigned>(ctx) % kHeldSlots];
   FlagGuard g(slot.busy);
   for (int i = slot.n - 1; i >= 0; --i) {
-    if (slot.e[i].cls != cls || slot.e[i].instance != instance) {
+    if (slot.e[i].ctx != ctx || slot.e[i].cls != cls ||
+        slot.e[i].instance != instance) {
       continue;
     }
     const std::uint64_t now = NowNs();
     const std::uint64_t hold =
         now > slot.e[i].acquire_ns ? now - slot.e[i].acquire_ns : 0;
     RecordFold(slot, i, hold, slot.e[i].wait_ns);
-    // Preserve stack order (unlike HoldTracker's swap-with-last): the
-    // remaining entries still describe this context's acquisition chain.
+    // Preserve stack order: the remaining entries still describe each
+    // context's acquisition chain.
     for (int j = i; j + 1 < slot.n; ++j) {
       slot.e[j] = slot.e[j + 1];
     }
@@ -469,7 +505,7 @@ void OnBlockingWaitImpl(int ctx, int cls, int site) {
   std::uint64_t seen = 0;
   for (int i = 0; i < slot.n; ++i) {
     const int held = slot.e[i].cls;
-    if (held == cls || (seen >> held & 1) != 0) {
+    if (slot.e[i].ctx != ctx || held == cls || (seen >> held & 1) != 0) {
       continue;
     }
     seen |= std::uint64_t{1} << held;
@@ -480,7 +516,7 @@ void OnBlockingWaitImpl(int ctx, int cls, int site) {
 void OnParkImpl(int ctx) {
   HeldSlot& slot = g_held[static_cast<unsigned>(ctx) % kHeldSlots];
   FlagGuard g(slot.busy);
-  if (slot.n == 0) {
+  if (OwnDepth(slot, ctx) == 0) {
     return;
   }
   g_park_while_held.fetch_add(1, std::memory_order_relaxed);
@@ -492,7 +528,11 @@ void OnParkImpl(int ctx) {
   ParkRec& r = g_parks[g_npark];
   r.tid = ctx;
   r.depth = 0;
-  for (int i = std::max(0, slot.n - kChainMax); i < slot.n; ++i) {
+  for (int i = FirstOfLastOwn(slot, ctx, slot.n, kChainMax); i < slot.n;
+       ++i) {
+    if (slot.e[i].ctx != ctx) {
+      continue;
+    }
     r.chain[r.depth].cls = slot.e[i].cls;
     r.chain[r.depth].site = slot.e[i].site;
     r.chain[r.depth].instance = slot.e[i].instance;
@@ -514,7 +554,7 @@ std::uint64_t ParkWhileHeldCount() {
 int HeldDepth(int ctx) {
   HeldSlot& slot = g_held[static_cast<unsigned>(ctx) % kHeldSlots];
   FlagGuard g(slot.busy);
-  return slot.n;
+  return OwnDepth(slot, ctx);
 }
 
 Counts GetCounts() {

@@ -64,7 +64,7 @@ inline constexpr int kMaxSites = 256;
 inline constexpr int kMaxEdges = 256;
 inline constexpr int kMaxDepth = 16;   // held locks per context
 inline constexpr int kChainMax = 8;    // witness / folded-chain length
-inline constexpr int kHeldSlots = 256; // context -> slot, HandlePool idiom
+inline constexpr int kHeldSlots = 256; // held-stack slots, by ctx modulo
 inline constexpr int kMaxInversions = 16;
 inline constexpr int kMaxParkReports = 8;
 inline constexpr int kMaxFolds = 512;

@@ -36,9 +36,9 @@
 
 namespace cna::telemetry {
 
-// Shard geometry.  kMaxSockets matches the convention used by HandlePool and
-// CnaRwLock; histogram sub-shards trade memory for less same-socket
-// contention on hot histograms.
+// Shard geometry.  kMaxSockets matches the convention used by CnaRwLock;
+// histogram sub-shards trade memory for less same-socket contention on hot
+// histograms.
 inline constexpr int kMaxSockets = 8;
 inline constexpr int kCounterShards = 64;
 inline constexpr int kHistSubShards = 4;
@@ -55,9 +55,10 @@ inline void SetEnabled(bool on) {
   EnabledFlag().store(on, std::memory_order_relaxed);
 }
 
-// Wall-clock nanoseconds (steady).  Telemetry timestamps are real time even
-// under the simulator: they measure the host's cost of executing the
-// schedule, not simulated NUMA time, and are never fed back into decisions.
+// Wall-clock nanoseconds (steady), for timestamps that measure the host:
+// trace events, lockdep, the sampler.  Platform-templated latency
+// histograms (the lock tables') stamp with P::NowNs() instead, which is the
+// simulated clock under the simulator.  Never fed back into decisions.
 inline std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -438,72 +439,6 @@ inline Histogram& ParkingParkedHistogram() {
   static Histogram& h = Registry::Global().GetHistogram("parking.parked_ns");
   return h;
 }
-
-// ---------------------------------------------------------------------------
-// HoldTracker: remembers the acquisition timestamp of (context, key) pairs so
-// the release path can compute hold time.  Follows the HandlePool idiom:
-// padded slots indexed by context id (thread_local is wrong under the fiber
-// simulator), guarded by a plain std::atomic_flag that is never held across a
-// yield point.  Bounded depth; overflowing entries are dropped (Pop returns 0
-// and the caller records nothing) -- hold-time telemetry is best-effort.
-// ---------------------------------------------------------------------------
-class HoldTracker {
- public:
-  static constexpr int kSlots = 256;
-  static constexpr int kDepth = 12;
-
-  void Push(int ctx, std::uint64_t key, std::uint64_t ts_ns) {
-    Slot& slot = slots_[static_cast<unsigned>(ctx) % kSlots];
-    Guard g(slot);
-    if (slot.n >= kDepth) {
-      return;
-    }
-    slot.e[slot.n].key = key;
-    slot.e[slot.n].ts_ns = ts_ns;
-    ++slot.n;
-  }
-
-  // Returns the pushed timestamp, or 0 if the entry overflowed or the ctx
-  // collided with another context's slot activity.
-  std::uint64_t Pop(int ctx, std::uint64_t key) {
-    Slot& slot = slots_[static_cast<unsigned>(ctx) % kSlots];
-    Guard g(slot);
-    for (int i = slot.n - 1; i >= 0; --i) {
-      if (slot.e[i].key == key) {
-        const std::uint64_t ts = slot.e[i].ts_ns;
-        slot.e[i] = slot.e[slot.n - 1];
-        --slot.n;
-        return ts;
-      }
-    }
-    return 0;
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic_flag busy = ATOMIC_FLAG_INIT;
-    int n = 0;
-    struct Entry {
-      std::uint64_t key = 0;
-      std::uint64_t ts_ns = 0;
-    } e[kDepth];
-  };
-
-  // Straight-line TAS guard; contention is rare (only ctx-id collisions).
-  class Guard {
-   public:
-    explicit Guard(Slot& slot) : slot_(slot) {
-      while (slot_.busy.test_and_set(std::memory_order_acquire)) {
-      }
-    }
-    ~Guard() { slot_.busy.clear(std::memory_order_release); }
-
-   private:
-    Slot& slot_;
-  };
-
-  std::array<Slot, kSlots> slots_;
-};
 
 }  // namespace cna::telemetry
 

@@ -261,7 +261,7 @@ TEST(CombiningSim, DrainServesSocketLocalRecordsFirst) {
 }
 
 // Submit/Future: completion is observed only after application, futures may
-// be waited in any order (the record pool detaches the exact record), and a
+// be waited in any order (the ledger releases the exact record), and a
 // dropped future still waits in its destructor.
 TEST(CombiningSim, SubmitFuturesCompleteInAnyOrder) {
   sim::Machine m(SmallMachine(9));

@@ -14,6 +14,7 @@
 #include <unistd.h>
 #endif
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include "locktable/lock_table.h"
 #include "parking/parking_lot.h"
 #include "platform/real_platform.h"
+#include "platform/thread_context.h"
 #include "qspin/qspinlock.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
@@ -241,6 +243,54 @@ TEST_F(LockdepTest, NonNestedSameClassNestingIsNotFlagged) {
   EXPECT_EQ(lockdep::InversionCount(), 0u);
   lockdep::OnReleased(ctx, cls, 0x1000);
   lockdep::OnReleased(ctx, cls, 0x2000);
+}
+
+// Contexts whose ids are congruent modulo kHeldSlots share a held-stack
+// slot.  Each entry carries its full context id, so one context never sees
+// another's held locks as its own: thread B taking an aliasY stripe while
+// thread A holds an aliasX stripe records no aliasX -> aliasY edge.
+TEST_F(LockdepTest, AliasedContextsDoNotInheritHeldLocks) {
+  RealTable x({.stripes = 8, .metrics_name = "aliasX"});
+  RealTable y({.stripes = 8, .metrics_name = "aliasY"});
+  std::atomic<int> a_id{-1};
+  std::atomic<bool> b_done{false};
+  std::thread a([&] {
+    x.LockStripe(1);
+    a_id.store(platform::ThreadContext::Current().ThreadId());
+    while (!b_done.load()) {
+      std::this_thread::yield();
+    }
+    x.UnlockStripe(1);
+  });
+  while (a_id.load() < 0) {
+    std::this_thread::yield();
+  }
+  // Thread ids are never reused: retire threads until the next id handed
+  // out lands in A's slot.
+  while (platform::MaxThreadId() % lockdep::kHeldSlots !=
+         a_id.load() % lockdep::kHeldSlots) {
+    std::thread([] { (void)platform::ThreadContext::Current(); }).join();
+  }
+  int b_id = -1;
+  std::thread b([&] {
+    b_id = platform::ThreadContext::Current().ThreadId();
+    y.LockStripe(2);
+    EXPECT_EQ(lockdep::HeldDepth(b_id), 1);
+    y.UnlockStripe(2);
+  });
+  b.join();
+  EXPECT_EQ(lockdep::HeldDepth(a_id.load()), 1);
+  b_done.store(true);
+  a.join();
+
+  ASSERT_NE(b_id, a_id.load());
+  ASSERT_EQ(b_id % lockdep::kHeldSlots, a_id.load() % lockdep::kHeldSlots);
+  EXPECT_EQ(lockdep::GetCounts().edges, 0u);
+  const std::string dot = lockdep::ReportDot();
+  EXPECT_EQ(dot.find("\"aliasX/stripe\" -> \"aliasY/stripe\""),
+            std::string::npos)
+      << dot;
+  EXPECT_EQ(lockdep::HeldDepth(a_id.load()), 0);
 }
 
 // Parking with a tracked lock held is flagged; parking with an empty held

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "apps/mini_leveldb.h"
 #include "apps/sharded_kv.h"
+#include "base/cacheline.h"
 #include "base/rng.h"
 #include "locks/cna.h"
 #include "locks/mcs.h"
@@ -130,16 +133,26 @@ TEST(LockTable, UnlockOfUnheldStripeThrows) {
   EXPECT_THROW(table.Unlock(3), std::logic_error);
 }
 
-TEST(LockTable, HandlePoolReusesNodesAcrossAcquisitions) {
-  RealTable table({.stripes = 16});
-  for (int i = 0; i < 100; ++i) {
-    table.Lock(static_cast<std::uint64_t>(i));
-    table.Unlock(static_cast<std::uint64_t>(i));
-  }
-  // One slab refill (16 handles) served all 100 sequential acquisitions: the
-  // free list still holds exactly that slab's worth, no further growth.
-  using Pool = locktable::HandlePool<RealPlatform, locks::CnaLock<RealPlatform>>;
-  EXPECT_EQ(table.PooledHandlesInThisContext(), Pool::kSlabHandles);
+TEST(LockTable, LedgerReusesNodesAcrossAcquisitions) {
+  // A fresh thread has a fresh ledger, so earlier tests' nesting cannot
+  // have grown it.  100 sequential acquisitions reuse one inline node and
+  // never allocate an overflow node.
+  std::thread([] {
+    RealTable table({.stripes = 16});
+    RealTable::Ledger& ledger = RealTable::ContextLedger();
+    const RealTable::Handle* first = nullptr;
+    for (int i = 0; i < 100; ++i) {
+      table.Lock(static_cast<std::uint64_t>(i));
+      ASSERT_EQ(ledger.held(), 1u);
+      if (first == nullptr) {
+        first = ledger.At(0).node;
+      }
+      EXPECT_EQ(ledger.At(0).node, first);
+      table.Unlock(static_cast<std::uint64_t>(i));
+    }
+    EXPECT_EQ(ledger.held(), 0u);
+    EXPECT_EQ(ledger.overflow_nodes(), 0u);
+  }).join();
 }
 
 // ---------- Guard / MultiGuard ----------
@@ -194,6 +207,30 @@ TEST(LockTable, MultiGuardBeyondInlineCapacity) {
     }
   }
   EXPECT_EQ(table.HeldByThisContext(), 0u);
+}
+
+// The first stripe starts a cache line in the compact layout too, wherever
+// the allocator happens to be: which stripes share a line (and so every
+// simulated result) must not depend on the heap's history.
+TEST(LockTable, CompactStripeArrayStartsACacheLine) {
+  std::vector<std::unique_ptr<char[]>> skew;
+  for (const std::size_t stripes : {1u, 16u, 1024u}) {
+    for (std::size_t bytes = 1; bytes <= 72; bytes += 7) {
+      skew.push_back(std::make_unique<char[]>(bytes));
+      RealTable real({.stripes = stripes});
+      SimTable sim({.stripes = stripes});
+      ASSERT_EQ(real.padding(), locktable::StripePadding::kCompact);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&real.StripeLock(0)) %
+                    kCacheLineSize,
+                0u)
+          << stripes << " stripes after a " << bytes << " B allocation";
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&sim.StripeLock(0)) %
+                    kCacheLineSize,
+                0u)
+          << stripes << " stripes after a " << bytes << " B allocation";
+      EXPECT_EQ(real.LockStateBytes(), stripes * sizeof(RealCna));
+    }
+  }
 }
 
 TEST(LockTable, RejectsAbsurdStripeCounts) {

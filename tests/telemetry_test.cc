@@ -2,8 +2,8 @@
 // merge/delta algebra, percentile monotonicity (property-style over seeded
 // random histograms), concurrent recording on both platforms (simulator
 // fibers and real threads -- the latter is what the TSan CI leg exercises),
-// trace-ring wraparound, and exporter output validated by a miniature JSON
-// parser.
+// table hold times on the platform clock, trace-ring wraparound, and
+// exporter output validated by a miniature JSON parser.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -14,6 +14,9 @@
 
 #include "base/rng.h"
 #include "core/pthread_api.h"
+#include "locks/cna.h"
+#include "locktable/lock_table.h"
+#include "platform/real_platform.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
 #include "telemetry/export.h"
@@ -385,21 +388,58 @@ TEST(TelemetryRegistry, StableAddressesAndSortedSnapshot) {
   EXPECT_EQ(reg.Snapshot().counters[0].value, 0u);
 }
 
-TEST(TelemetryHoldTracker, PushPopAndOverflow) {
-  telemetry::HoldTracker t;
-  t.Push(3, /*key=*/7, /*ts=*/1000);
-  EXPECT_EQ(t.Pop(3, 7), 1000u);
-  EXPECT_EQ(t.Pop(3, 7), 0u);  // already popped
-  EXPECT_EQ(t.Pop(3, 99), 0u);  // never pushed
-  // Overflow: pushes past kDepth are dropped, pops of the survivors work.
-  for (int i = 0; i < telemetry::HoldTracker::kDepth + 5; ++i) {
-    t.Push(5, static_cast<std::uint64_t>(i), 100u + static_cast<unsigned>(i));
-  }
-  for (int i = 0; i < telemetry::HoldTracker::kDepth; ++i) {
-    EXPECT_EQ(t.Pop(5, static_cast<std::uint64_t>(i)),
-              100u + static_cast<unsigned>(i));
-  }
-  EXPECT_EQ(t.Pop(5, telemetry::HoldTracker::kDepth), 0u);
+// Table hold times are measured from the holder's ledger entry, stamped
+// with P::NowNs(): under the simulator that is the fiber's simulated clock,
+// so a stripe held across 10'000 simulated ns records exactly that, not the
+// host's time to run the schedule.
+TEST(TelemetryTableLatency, SimFibersHoldIsSimulatedTime) {
+  using SimTable =
+      locktable::LockTable<SimPlatform, locks::CnaLock<SimPlatform>>;
+  auto& hold = telemetry::Registry::Global().GetHistogram("simhold.hold_ns");
+  auto& wait = telemetry::Registry::Global().GetHistogram("simhold.wait_ns");
+  const telemetry::HistogramSnapshot hold_before = hold.Snapshot();
+  const telemetry::HistogramSnapshot wait_before = wait.Snapshot();
+  SimTable table(
+      {.stripes = 4, .collect_latency = true, .metrics_name = "simhold"});
+  telemetry::SetEnabled(true);
+  sim::Machine m(sim::MachineConfig::TwoSocket());
+  m.Spawn([&] {
+    table.Lock(1);
+    sim::Machine::Active()->AdvanceLocalWork(10'000);
+    table.Unlock(1);
+  });
+  m.Run();
+  telemetry::SetEnabled(false);
+
+  const telemetry::HistogramSnapshot held = hold.Snapshot() - hold_before;
+  ASSERT_EQ(held.count, 1u);
+  EXPECT_EQ(held.sum, 10'000u);
+  const std::uint64_t p50 = held.P50();
+  EXPECT_LE(BucketLowerBound(BucketOf(p50)), 10'000u);
+  EXPECT_GE(p50, 10'000u);
+  // An uncontended acquisition is a few simulated memory accesses.
+  const telemetry::HistogramSnapshot waited = wait.Snapshot() - wait_before;
+  ASSERT_EQ(waited.count, 1u);
+  EXPECT_LT(waited.sum, 1'000u);
+}
+
+// A hold taken while telemetry was off carries no acquire stamp, so turning
+// telemetry on mid-hold records no hold time for it.
+TEST(TelemetryTableLatency, HoldTakenWhileOffRecordsNothing) {
+  using RealTable =
+      locktable::LockTable<RealPlatform, locks::CnaLock<RealPlatform>>;
+  auto& hold = telemetry::Registry::Global().GetHistogram("offhold.hold_ns");
+  const telemetry::HistogramSnapshot before = hold.Snapshot();
+  RealTable table(
+      {.stripes = 4, .collect_latency = true, .metrics_name = "offhold"});
+  table.Lock(1);
+  telemetry::SetEnabled(true);
+  table.Unlock(1);
+  EXPECT_EQ((hold.Snapshot() - before).count, 0u);
+  table.Lock(1);
+  table.Unlock(1);
+  telemetry::SetEnabled(false);
+  EXPECT_EQ((hold.Snapshot() - before).count, 1u);
 }
 
 // Concurrent recording, real threads: every record lands in exactly one
