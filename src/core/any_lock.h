@@ -41,52 +41,34 @@ class AnyLock {
   virtual std::string Name() const = 0;
 };
 
-template <typename P, locks::Lockable L>
-class LockAdapter final : public AnyLock {
+// Interface is AnyLock, or AnyRwLock for RwLockAdapter (any_rwlock.h),
+// which adds the shared-mode overrides on top of this class.
+template <typename P, locks::Lockable L, typename Interface = AnyLock>
+class LockAdapter : public Interface {
  public:
   explicit LockAdapter(std::string name)
       : name_(std::move(name)),
-        lockdep_cls_(telemetry::lockdep::InternClass("mutex/" + name_)) {}
+        lockdep_cls_(telemetry::lockdep::InternClass(
+            (locks::SharedLockable<L> ? "rwlock/" : "mutex/") + name_)) {}
 
-  void Lock() override {
-    impl_.Lock(*ContextLedger().Checkout(&impl_).node);
-    if (telemetry::lockdep::Enabled()) {
-      static const int site = telemetry::lockdep::InternSite("AnyLock::Lock");
-      telemetry::lockdep::OnAcquired(
-          P::CpuId(), lockdep_cls_, site,
-          reinterpret_cast<std::uintptr_t>(&impl_), /*trylock=*/false,
-          /*shared=*/false, /*nested=*/false, /*wait_ns=*/0);
-    }
-  }
+  void Lock() override { Acquire<locktable::HoldMode::kExclusive>(); }
 
+  // Releases an exclusive hold; throws std::logic_error without one.
   void Unlock() override {
     Ledger& ledger = ContextLedger();
-    const std::size_t i = ledger.Find(&impl_);
+    const std::size_t i =
+        locks::SharedLockable<L>
+            ? ledger.Find(&impl_, locktable::HoldMode::kExclusive)
+            : ledger.Find(&impl_);
     if (i == Ledger::kNotHeld) {
       throw std::logic_error("AnyLock::Unlock without matching Lock");
     }
-    telemetry::lockdep::OnReleased(P::CpuId(), lockdep_cls_,
-                                   reinterpret_cast<std::uintptr_t>(&impl_));
-    impl_.Unlock(*ledger.At(i).node);
-    ledger.Release(i);
+    Release<locktable::HoldMode::kExclusive>(ledger, i);
   }
 
   bool TryLock() override {
     if constexpr (locks::TryLockable<L>) {
-      Ledger& ledger = ContextLedger();
-      if (impl_.TryLock(*ledger.Checkout(&impl_).node)) {
-        if (telemetry::lockdep::Enabled()) {
-          static const int site =
-              telemetry::lockdep::InternSite("AnyLock::TryLock");
-          telemetry::lockdep::OnAcquired(
-              P::CpuId(), lockdep_cls_, site,
-              reinterpret_cast<std::uintptr_t>(&impl_), /*trylock=*/true,
-              /*shared=*/false, /*nested=*/false, /*wait_ns=*/0);
-        }
-        return true;
-      }
-      ledger.Cancel();
-      return false;
+      return TryAcquire<locktable::HoldMode::kExclusive>();
     } else {
       return false;
     }
@@ -98,14 +80,59 @@ class LockAdapter final : public AnyLock {
 
   L& impl() { return impl_; }
 
- private:
+ protected:
   using Ledger = locktable::HeldLedger<typename L::Handle>;
 
   static Ledger& ContextLedger() { return P::template ContextLocal<Ledger>(); }
 
+  template <locktable::HoldMode M>
+  void Acquire() {
+    locktable::LockIn<M>(impl_, *ContextLedger().Checkout(&impl_, M).node);
+    LockdepAcquired<M>(/*trylock=*/false);
+  }
+
+  template <locktable::HoldMode M>
+  bool TryAcquire() {
+    Ledger& ledger = ContextLedger();
+    if (locktable::TryLockIn<M>(impl_, *ledger.Checkout(&impl_, M).node)) {
+      LockdepAcquired<M>(/*trylock=*/true);
+      return true;
+    }
+    ledger.Cancel();
+    return false;
+  }
+
+  // Ends ledger hold i, a hold of this lock in mode M.
+  template <locktable::HoldMode M>
+  void Release(Ledger& ledger, std::size_t i) {
+    telemetry::lockdep::OnReleased(P::CpuId(), lockdep_cls_,
+                                   reinterpret_cast<std::uintptr_t>(&impl_));
+    locktable::UnlockIn<M>(impl_, *ledger.At(i).node);
+    ledger.Release(i);
+  }
+
   L impl_;
+
+ private:
+  template <locktable::HoldMode M>
+  void LockdepAcquired(bool trylock) {
+    if (telemetry::lockdep::Enabled()) {
+      constexpr bool kShared = M == locktable::HoldMode::kShared;
+      static const int lock_site = telemetry::lockdep::InternSite(
+          kShared ? "AnyRwLock::LockShared" : "AnyLock::Lock");
+      static const int try_site = telemetry::lockdep::InternSite(
+          kShared ? "AnyRwLock::TryLockShared" : "AnyLock::TryLock");
+      telemetry::lockdep::OnAcquired(
+          P::CpuId(), lockdep_cls_, trylock ? try_site : lock_site,
+          reinterpret_cast<std::uintptr_t>(&impl_), trylock, kShared,
+          /*nested=*/false, /*wait_ns=*/0);
+    }
+  }
+
   std::string name_;
-  int lockdep_cls_;  // one class per adapter kind ("mutex/<name>")
+  // One class per adapter kind: "mutex/<name>", or "rwlock/<name>" over a
+  // reader-writer lock.
+  int lockdep_cls_;
 };
 
 }  // namespace cna::core

@@ -47,8 +47,10 @@ class AnyLockTable {
   virtual std::string Name() const = 0;
 };
 
-template <typename P, locks::Lockable L>
-class LockTableAdapter final : public AnyLockTable {
+// Interface is AnyLockTable, or AnyRwLockTable for RwLockTableAdapter
+// (any_rwlock_table.h), which adds the shared-mode overrides.
+template <typename P, locks::Lockable L, typename Interface = AnyLockTable>
+class LockTableAdapter : public Interface {
  public:
   LockTableAdapter(std::string name, locktable::LockTableOptions options)
       : table_(options), name_(std::move(name)) {}
@@ -63,7 +65,10 @@ class LockTableAdapter final : public AnyLockTable {
     }
   }
 
-  void Unlock(std::uint64_t key) override { table_.Unlock(key); }
+  // Releases an exclusive hold (for a mutex table, any hold).
+  void Unlock(std::uint64_t key) override {
+    table_.UnlockStripe(table_.StripeOf(key));
+  }
   bool SupportsTryLock() const override { return locks::TryLockable<L>; }
 
   void LockMany(const std::uint64_t* keys, std::size_t count) override {
@@ -93,11 +98,13 @@ class LockTableAdapter final : public AnyLockTable {
 
   locktable::LockTable<P, L>& table() { return table_; }
 
+ protected:
+  locktable::LockTable<P, L> table_;
+
  private:
   static constexpr std::size_t kInlineStripes =
       locktable::LockTable<P, L>::MultiGuard::kInlineKeys;
 
-  locktable::LockTable<P, L> table_;
   std::string name_;
 };
 

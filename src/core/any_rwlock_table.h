@@ -1,103 +1,44 @@
 // Type-erased reader-writer lock-table interface: one runtime-selectable
-// handle over locktable::RwLockTable instantiated with any SharedLockable.
-// Mirrors any_lock_table.h the way any_rwlock.h mirrors any_lock.h.
+// handle over a locktable::LockTable of any SharedLockable stripe.  Mirrors
+// any_lock_table.h the way any_rwlock.h mirrors any_lock.h: AnyRwLockTable
+// is an AnyLockTable whose Lock/TryLock/Unlock/LockMany/UnlockMany are the
+// exclusive side, and RwLockTableAdapter adds only the shared-mode calls.
 #ifndef CNA_CORE_ANY_RWLOCK_TABLE_H_
 #define CNA_CORE_ANY_RWLOCK_TABLE_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
+#include "core/any_lock_table.h"
 #include "locks/lock_api.h"
-#include "locktable/rw_lock_table.h"
 
 namespace cna::core {
 
 // Abstract keyed reader-writer namespace.  Shared/exclusive acquisitions must
-// balance per execution context and key stripe; Unlock(key) releases in
-// whichever mode the stripe is held (pthread_rwlock_unlock semantics).
-class AnyRwLockTable {
+// balance per execution context and key stripe.
+class AnyRwLockTable : public AnyLockTable {
  public:
-  virtual ~AnyRwLockTable() = default;
-
   virtual void LockShared(std::uint64_t key) = 0;
   virtual bool TryLockShared(std::uint64_t key) = 0;
   virtual void UnlockShared(std::uint64_t key) = 0;
-
-  virtual void LockExclusive(std::uint64_t key) = 0;
-  virtual bool TryLockExclusive(std::uint64_t key) = 0;
-  virtual void UnlockExclusive(std::uint64_t key) = 0;
-
-  virtual void Unlock(std::uint64_t key) = 0;
-
-  // Multi-key exclusive transaction, ascending-stripe deadlock-free order.
-  virtual void LockMany(const std::uint64_t* keys, std::size_t count) = 0;
-  virtual void UnlockMany(const std::uint64_t* keys, std::size_t count) = 0;
-
-  virtual std::size_t Stripes() const = 0;
-  virtual std::size_t StripeOf(std::uint64_t key) const = 0;
-  virtual std::size_t LockStateBytes() const = 0;
-  virtual std::size_t PerStripeStateBytes() const = 0;
-  virtual std::string Name() const = 0;
+  // Releases the key's stripe in whichever mode this context holds it
+  // (pthread_rwlock_unlock semantics).
+  virtual void UnlockAny(std::uint64_t key) = 0;
 };
 
 template <typename P, locks::SharedLockable L>
-class RwLockTableAdapter final : public AnyRwLockTable {
+class RwLockTableAdapter final
+    : public LockTableAdapter<P, L, AnyRwLockTable> {
  public:
-  RwLockTableAdapter(std::string name, locktable::LockTableOptions options)
-      : table_(options), name_(std::move(name)) {}
+  using LockTableAdapter<P, L, AnyRwLockTable>::LockTableAdapter;
 
-  void LockShared(std::uint64_t key) override { table_.LockShared(key); }
+  void LockShared(std::uint64_t key) override { this->table_.LockShared(key); }
   bool TryLockShared(std::uint64_t key) override {
-    return table_.TryLockShared(key);
+    return this->table_.TryLockShared(key);
   }
-  void UnlockShared(std::uint64_t key) override { table_.UnlockShared(key); }
-
-  void LockExclusive(std::uint64_t key) override { table_.LockExclusive(key); }
-  bool TryLockExclusive(std::uint64_t key) override {
-    return table_.TryLockExclusive(key);
+  void UnlockShared(std::uint64_t key) override {
+    this->table_.UnlockShared(key);
   }
-  void UnlockExclusive(std::uint64_t key) override {
-    table_.UnlockExclusive(key);
-  }
-
-  void Unlock(std::uint64_t key) override { table_.Unlock(key); }
-
-  void LockMany(const std::uint64_t* keys, std::size_t count) override {
-    if (count <= kInlineStripes) {
-      std::size_t stripes[kInlineStripes];
-      (void)table_.LockKeysInto(keys, count, stripes);
-    } else {
-      std::vector<std::size_t> stripes(count);
-      (void)table_.LockKeysInto(keys, count, stripes.data());
-    }
-  }
-
-  // Checked: verifies every stripe is held exclusively before releasing any.
-  void UnlockMany(const std::uint64_t* keys, std::size_t count) override {
-    table_.UnlockKeys(keys, count);
-  }
-
-  std::size_t Stripes() const override { return table_.stripes(); }
-  std::size_t StripeOf(std::uint64_t key) const override {
-    return table_.StripeOf(key);
-  }
-  std::size_t LockStateBytes() const override {
-    return table_.LockStateBytes();
-  }
-  std::size_t PerStripeStateBytes() const override { return L::kStateBytes; }
-  std::string Name() const override { return name_; }
-
-  locktable::RwLockTable<P, L>& table() { return table_; }
-
- private:
-  static constexpr std::size_t kInlineStripes =
-      locktable::RwLockTable<P, L>::MultiGuard::kInlineKeys;
-
-  locktable::RwLockTable<P, L> table_;
-  std::string name_;
+  void UnlockAny(std::uint64_t key) override { this->table_.Unlock(key); }
 };
 
 }  // namespace cna::core

@@ -703,7 +703,7 @@ int cna_rwlocktable_wrlock(cna_rwlocktable_t* table, uint64_t key) {
     return EINVAL;
   }
   return GuardedCall([&] {
-    table->impl->LockExclusive(key);
+    table->impl->Lock(key);
     return 0;
   });
 }
@@ -713,7 +713,7 @@ int cna_rwlocktable_trywrlock(cna_rwlocktable_t* table, uint64_t key) {
     return EINVAL;
   }
   return GuardedCall(
-      [&] { return table->impl->TryLockExclusive(key) ? 0 : EBUSY; });
+      [&] { return table->impl->TryLock(key) ? 0 : EBUSY; });
 }
 
 int cna_rwlocktable_unlock(cna_rwlocktable_t* table, uint64_t key) {
@@ -722,7 +722,7 @@ int cna_rwlocktable_unlock(cna_rwlocktable_t* table, uint64_t key) {
   }
   // EPERM when this thread holds the key's stripe in neither mode.
   return GuardedCall([&] {
-    table->impl->Unlock(key);
+    table->impl->UnlockAny(key);
     return 0;
   });
 }

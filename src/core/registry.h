@@ -474,9 +474,9 @@ class ShardedSharedMutex {
   // Throws std::invalid_argument on an unknown rwlock name.
   ShardedSharedMutex(std::string_view name, std::size_t stripes);
 
-  void lock(std::uint64_t key) { impl_->LockExclusive(key); }
-  bool try_lock(std::uint64_t key) { return impl_->TryLockExclusive(key); }
-  void unlock(std::uint64_t key) { impl_->UnlockExclusive(key); }
+  void lock(std::uint64_t key) { impl_->Lock(key); }
+  bool try_lock(std::uint64_t key) { return impl_->TryLock(key); }
+  void unlock(std::uint64_t key) { impl_->Unlock(key); }
 
   void lock_shared(std::uint64_t key) { impl_->LockShared(key); }
   bool try_lock_shared(std::uint64_t key) {

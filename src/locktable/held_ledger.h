@@ -41,6 +41,33 @@ namespace cna::locktable {
 
 enum class HoldMode : std::uint8_t { kExclusive, kShared };
 
+// A lock's acquire/try-acquire/release calls for mode M, so one code path
+// serves both modes (the shared forms exist on SharedLockable locks only).
+template <HoldMode M, typename L, typename Node>
+void LockIn(L& lock, Node& node) {
+  if constexpr (M == HoldMode::kShared) {
+    lock.LockShared(node);
+  } else {
+    lock.Lock(node);
+  }
+}
+template <HoldMode M, typename L, typename Node>
+bool TryLockIn(L& lock, Node& node) {
+  if constexpr (M == HoldMode::kShared) {
+    return lock.TryLockShared(node);
+  } else {
+    return lock.TryLock(node);
+  }
+}
+template <HoldMode M, typename L, typename Node>
+void UnlockIn(L& lock, Node& node) {
+  if constexpr (M == HoldMode::kShared) {
+    lock.UnlockShared(node);
+  } else {
+    lock.Unlock(node);
+  }
+}
+
 template <typename Node>
 class HeldLedger {
  public:

@@ -20,6 +20,11 @@
 //    descending order.
 //  * Per-stripe occupancy/contention counters (table_stats.h), off by
 //    default so the fast path carries zero instrumentation.
+//  * Over reader-writer stripes (locks::SharedLockable, e.g. the one-word
+//    compact CnaRwLock): LockShared/TryLockShared/UnlockShared(key) and
+//    ReadGuard take a stripe shared, everything above takes it exclusively,
+//    and Unlock(key) releases whichever mode this context holds it in.
+//    rw_lock_table.h gives that surface its reader-writer names.
 //
 // Layout: stripes are packed at sizeof(L) by default (kCompact -- the space
 // claim), or padded to a cache line each (kCacheLine) when the caller prefers
@@ -90,6 +95,9 @@ class LockTable {
   // Shared by every table and mutex over L in one execution context.
   using Ledger = HeldLedger<Handle>;
 
+  // Reader-writer stripes: the table adds the shared-mode surface.
+  static constexpr bool kReaderWriter = locks::SharedLockable<L>;
+
   // Upper bound on the namespace (see StripeArray).
   static constexpr std::size_t kMaxStripes = StripeArray<L>::kMaxStripes;
 
@@ -105,7 +113,7 @@ class LockTable {
         blocking_(options.blocking),
         lockdep_cls_(telemetry::lockdep::InternClass(
             std::string(options.metrics_name == nullptr
-                            ? "locktable"
+                            ? kDefaultName
                             : options.metrics_name) +
             "/stripe")) {
     if (options.collect_stats) {
@@ -113,8 +121,9 @@ class LockTable {
     }
     if (options.collect_latency) {
       lat_ = std::make_unique<TableLatency>(
-          options.metrics_name == nullptr ? "locktable"
-                                          : options.metrics_name);
+          options.metrics_name == nullptr ? kDefaultName
+                                          : options.metrics_name,
+          kReaderWriter);
     }
     if constexpr (locks::BlockingConfigurable<L>) {
       if (blocking_) {
@@ -146,58 +155,55 @@ class LockTable {
   L& StripeLock(std::size_t s) { return array_.Stripe(s); }
 
   // --- Handle-free locking surface ---
+  //
+  // Everything but the *Shared calls takes stripes exclusively, and the
+  // stripe-level unlocks release exclusive holds only.  Unlock(key) is the
+  // pthread_rwlock_unlock shape: it releases this context's newest hold of
+  // the stripe in whichever mode it was taken (a mutex stripe has one).
 
   void Lock(std::uint64_t key) { LockStripe(StripeOf(key)); }
-  void Unlock(std::uint64_t key) { UnlockStripe(StripeOf(key)); }
+  void Unlock(std::uint64_t key) {
+    if constexpr (kReaderWriter) {
+      UnlockNewest(StripeOf(key));
+    } else {
+      UnlockStripe(StripeOf(key));
+    }
+  }
   bool TryLock(std::uint64_t key) { return TryLockStripe(StripeOf(key)); }
 
-  void LockStripe(std::size_t s) { AcquireStripe(s, /*multi_key=*/false); }
+  void LockStripe(std::size_t s) {
+    Acquire<HoldMode::kExclusive>(s, /*multi_key=*/false);
+  }
 
   bool TryLockStripe(std::size_t s) {
     static_assert(locks::TryLockable<L>,
                   "TryLock requires a lock with a try-lock path");
-    Ledger& ledger = ContextLedger();
-    L& lock = StripeLock(s);
-    typename Ledger::Held& held = ledger.Checkout(&lock);
-    if (lock.TryLock(*held.node)) {
-      stats_.OnAcquire(s, /*was_contended=*/false, /*multi_key=*/false);
-      if (lat_ != nullptr && telemetry::Enabled()) {
-        held.acquire_ns = P::NowNs();
-      }
-      LockdepAcquired(s, /*trylock=*/true, /*multi_key=*/false, 0);
-      return true;
-    }
-    stats_.OnTryLockFailure(s);
-    ledger.Cancel();
-    return false;
+    return TryAcquire<HoldMode::kExclusive>(s);
   }
 
   // Throws std::logic_error if this context does not hold stripe `s`.
-  void UnlockStripe(std::size_t s) {
-    if (!TryUnlockStripe(s)) {
-      throw std::logic_error(
-          "locktable::LockTable: unlock of a stripe this context does not "
-          "hold");
-    }
-  }
+  void UnlockStripe(std::size_t s) { CheckedRelease<HoldMode::kExclusive>(s); }
 
   // UnlockStripe() that reports "not held by this context" as false instead
   // of throwing, for callers that must probe several tables for the holder
   // (the resizable table's Unlock walking current snapshot then migration
   // predecessor).
   bool TryUnlockStripe(std::size_t s) {
-    Ledger& ledger = ContextLedger();
-    L& lock = StripeLock(s);
-    const std::size_t i = ledger.Find(&lock);
-    if (i == Ledger::kNotHeld) {
-      return false;
-    }
-    RecordHold(ledger.At(i).acquire_ns);
-    LockdepReleased(s);
-    lock.Unlock(*ledger.At(i).node);
-    ledger.Release(i);
-    UnparkAfterRelease(s);
-    return true;
+    return TryRelease<HoldMode::kExclusive>(s);
+  }
+
+  // Reader side, over reader-writer stripes.  UnlockShared throws
+  // std::logic_error if this context does not hold the stripe shared.
+  void LockShared(std::uint64_t key) requires kReaderWriter {
+    Acquire<HoldMode::kShared>(StripeOf(key), /*multi_key=*/false);
+  }
+  bool TryLockShared(std::uint64_t key) requires kReaderWriter {
+    static_assert(locks::SharedTryLockable<L>,
+                  "TryLockShared requires a shared try-lock path");
+    return TryAcquire<HoldMode::kShared>(StripeOf(key));
+  }
+  void UnlockShared(std::uint64_t key) requires kReaderWriter {
+    CheckedRelease<HoldMode::kShared>(StripeOf(key));
   }
 
   // --- Multi-key acquisition (used by MultiGuard and the C surface) ---
@@ -234,7 +240,7 @@ class LockTable {
     std::size_t taken = 0;
     try {
       for (; taken < n; ++taken) {
-        AcquireStripe(out[taken], /*multi_key=*/true);
+        Acquire<HoldMode::kExclusive>(out[taken], /*multi_key=*/true);
       }
     } catch (...) {
       UnlockStripesN(out, taken);
@@ -270,9 +276,10 @@ class LockTable {
   }
 
   // Checked release of a key set: verifies this context holds *every*
-  // distinct stripe before releasing any, so a misuse (some stripe not held)
-  // throws std::logic_error without half-releasing the transaction.
-  // Heap-free for key sets up to kInlineTxnKeys, mirroring the lock side.
+  // distinct stripe (exclusively) before releasing any, so a misuse (some
+  // stripe not held) throws std::logic_error without half-releasing the
+  // transaction.  Heap-free for key sets up to kInlineTxnKeys, mirroring the
+  // lock side.
   void UnlockKeys(const std::uint64_t* keys, std::size_t count) {
     if (count <= kInlineTxnKeys) {
       std::size_t stripes[kInlineTxnKeys];
@@ -285,16 +292,19 @@ class LockTable {
 
   // --- RAII surfaces ---
 
-  class Guard {
+  // Single-key critical section in mode M: Guard is exclusive, ReadGuard
+  // (reader-writer stripes only) shared.
+  template <HoldMode M>
+  class ModeGuard {
    public:
-    Guard(LockTable& table, std::uint64_t key)
+    ModeGuard(LockTable& table, std::uint64_t key)
         : table_(table), stripe_(table.StripeOf(key)) {
-      table_.LockStripe(stripe_);
+      table_.template Acquire<M>(stripe_, /*multi_key=*/false);
     }
-    ~Guard() { table_.UnlockStripe(stripe_); }
+    ~ModeGuard() { table_.template CheckedRelease<M>(stripe_); }
 
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
+    ModeGuard(const ModeGuard&) = delete;
+    ModeGuard& operator=(const ModeGuard&) = delete;
 
     std::size_t stripe() const { return stripe_; }
 
@@ -302,6 +312,8 @@ class LockTable {
     LockTable& table_;
     std::size_t stripe_;
   };
+  using Guard = ModeGuard<HoldMode::kExclusive>;
+  using ReadGuard = ModeGuard<HoldMode::kShared>;
 
   class MultiGuard {
    public:
@@ -357,20 +369,42 @@ class LockTable {
     return ContextLedger().Find(&array_.Stripe(s)) != Ledger::kNotHeld;
   }
 
-  // Stripes of this table the calling context currently holds
-  // (tests/diagnostics).
+  // Stripes of this table the calling context currently holds, in either
+  // mode or in one (tests/diagnostics).
   std::size_t HeldByThisContext() const {
     return ContextLedger().CountIn(array_.begin(), array_.end());
+  }
+  std::size_t HeldByThisContext(HoldMode mode) const {
+    return ContextLedger().CountIn(array_.begin(), array_.end(), mode);
   }
 
   // The calling context's ledger for L (tests/diagnostics).
   static Ledger& ContextLedger() { return P::template ContextLocal<Ledger>(); }
 
  private:
+  // Default metrics prefix, and with "/stripe" the lockdep class.
+  static constexpr const char* kDefaultName =
+      kReaderWriter ? "rwtable" : "locktable";
+
+  // Whether mode M has a try-lock path, and whether this table wraps stripe
+  // acquisitions in the parking lot's spin-then-park (locks with their own
+  // passive layer get options.blocking forwarded in the constructor
+  // instead; kinds without a try-lock path cannot park at all).
+  template <HoldMode M>
+  static constexpr bool kCanTry = M == HoldMode::kShared
+                                      ? locks::SharedTryLockable<L>
+                                      : locks::TryLockable<L>;
+  static constexpr bool kTableParks =
+      kCanTry<HoldMode::kExclusive> &&
+      (!kReaderWriter || kCanTry<HoldMode::kShared>) &&
+      !locks::BlockingConfigurable<L>;
+
   // Validate-all-then-release body of UnlockKeys.
   void UnlockDistinct(const std::size_t* stripes, std::size_t n) {
+    Ledger& ledger = ContextLedger();
     for (std::size_t i = 0; i < n; ++i) {
-      if (!HoldsStripe(stripes[i])) {
+      if (FindHold<HoldMode::kExclusive>(ledger, StripeLock(stripes[i])) ==
+          Ledger::kNotHeld) {
         throw std::logic_error(
             "locktable::LockTable: UnlockKeys of a stripe this context does "
             "not hold");
@@ -379,41 +413,168 @@ class LockTable {
     UnlockStripesN(stripes, n);
   }
 
-  void AcquireStripe(std::size_t s, bool multi_key) {
+  template <HoldMode M>
+  void Acquire(std::size_t s, bool multi_key) {
     L& lock = StripeLock(s);
-    typename Ledger::Held& held = ContextLedger().Checkout(&lock);
+    typename Ledger::Held& held = ContextLedger().Checkout(&lock, M);
     if (lat_ != nullptr && telemetry::Enabled()) {
       const std::uint64_t t0 = P::NowNs();
-      AcquireStripeImpl(lock, *held.node, s, multi_key);
+      AcquireImpl<M>(lock, *held.node, s, multi_key);
       const std::uint64_t t1 = P::NowNs();
-      lat_->wait.RecordAt(P::CurrentSocket(), P::CpuId(), t1 - t0);
+      lat_->wait[static_cast<int>(M)]->RecordAt(P::CurrentSocket(),
+                                                P::CpuId(), t1 - t0);
       held.acquire_ns = t1;
-      LockdepAcquired(s, /*trylock=*/false, multi_key, t1 - t0);
+      LockdepAcquired<M>(s, /*trylock=*/false, multi_key, t1 - t0);
       return;
     }
-    AcquireStripeImpl(lock, *held.node, s, multi_key);
-    LockdepAcquired(s, /*trylock=*/false, multi_key, 0);
+    AcquireImpl<M>(lock, *held.node, s, multi_key);
+    LockdepAcquired<M>(s, /*trylock=*/false, multi_key, 0);
+  }
+
+  template <HoldMode M>
+  bool TryAcquire(std::size_t s) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    typename Ledger::Held& held = ledger.Checkout(&lock, M);
+    if (TryLockIn<M>(lock, *held.node)) {
+      stats_.template OnAcquire<M>(s, /*was_contended=*/false,
+                                   /*multi_key=*/false);
+      // Only exclusive holds are timed (see TableLatency).
+      if (M == HoldMode::kExclusive && lat_ != nullptr &&
+          telemetry::Enabled()) {
+        held.acquire_ns = P::NowNs();
+      }
+      LockdepAcquired<M>(s, /*trylock=*/true, /*multi_key=*/false, 0);
+      return true;
+    }
+    stats_.OnTryLockFailure(s);
+    ledger.Cancel();
+    return false;
+  }
+
+  template <HoldMode M>
+  void AcquireImpl(L& lock, Handle& h, std::size_t s, bool multi_key) {
+    if constexpr (kTableParks) {
+      if (blocking_) {
+        AcquireParked<M>(lock, h, s, multi_key);
+        return;
+      }
+    }
+    if (stats_.enabled()) {
+      // Stats mode probes with a try-lock first so contention is observable
+      // (sampled when stats_probe_period > 1); the stats-off path below is
+      // the undisturbed one-SWAP acquisition.
+      if constexpr (kCanTry<M>) {
+        if (probe_mask_ == 0 || (P::Random() & probe_mask_) == 0) {
+          if (TryLockIn<M>(lock, h)) {
+            stats_.template OnAcquire<M>(s, /*was_contended=*/false,
+                                         multi_key);
+            return;
+          }
+          LockIn<M>(lock, h);
+          stats_.template OnAcquire<M>(s, /*was_contended=*/true, multi_key);
+          return;
+        }
+      }
+    }
+    LockIn<M>(lock, h);
+    stats_.template OnAcquire<M>(s, /*was_contended=*/false, multi_key);
+  }
+
+  // Blocking-table acquisition: parking::SpinThenPark with the stripe's
+  // try-lock in mode M as the revalidate.  Out of line: inlined, the park
+  // loop's live state would enlarge the stack frame that every spinning
+  // acquisition sets up.
+  template <HoldMode M>
+  [[gnu::noinline]] void AcquireParked(L& lock, Handle& h, std::size_t s,
+                                       bool multi_key) {
+    const bool waited = parking::SpinThenPark<P>(
+        &lock, [&] { return TryLockIn<M>(lock, h); });
+    stats_.template OnAcquire<M>(s, waited, multi_key);
+  }
+
+  // Ledger position of this context's newest hold of `lock` in mode M (any
+  // hold, over mutex stripes, which have one mode), or Ledger::kNotHeld.
+  template <HoldMode M>
+  static std::size_t FindHold(const Ledger& ledger, const L& lock) {
+    return kReaderWriter ? ledger.Find(&lock, M) : ledger.Find(&lock);
+  }
+
+  template <HoldMode M>
+  bool TryRelease(std::size_t s) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    const std::size_t i = FindHold<M>(ledger, lock);
+    if (i == Ledger::kNotHeld) {
+      return false;
+    }
+    ReleaseHeld<M>(ledger, lock, s, i);
+    return true;
+  }
+
+  template <HoldMode M>
+  void CheckedRelease(std::size_t s) {
+    if (!TryRelease<M>(s)) {
+      throw std::logic_error(
+          "locktable::LockTable: unlock of a stripe this context does not "
+          "hold");
+    }
+  }
+
+  // Unlock(key) over reader-writer stripes: within one context a stripe
+  // cannot be held in both modes at once (that would self-deadlock), so the
+  // newest hold is unambiguous.
+  void UnlockNewest(std::size_t s) {
+    Ledger& ledger = ContextLedger();
+    L& lock = StripeLock(s);
+    const std::size_t i = ledger.Find(&lock);
+    if (i == Ledger::kNotHeld) {
+      throw std::logic_error(
+          "locktable::LockTable: unlock of a stripe this context does not "
+          "hold");
+    }
+    if (ledger.At(i).mode == HoldMode::kShared) {
+      ReleaseHeld<HoldMode::kShared>(ledger, lock, s, i);
+    } else {
+      ReleaseHeld<HoldMode::kExclusive>(ledger, lock, s, i);
+    }
+  }
+
+  // Ends ledger hold i, a hold of stripe s (`lock`) in mode M.
+  template <HoldMode M>
+  void ReleaseHeld(Ledger& ledger, L& lock, std::size_t s, std::size_t i) {
+    if constexpr (M == HoldMode::kExclusive) {
+      RecordHold(ledger.At(i).acquire_ns);
+    }
+    LockdepReleased(s);
+    UnlockIn<M>(lock, *ledger.At(i).node);
+    ledger.Release(i);
+    UnparkAfterRelease<M>(s);
   }
 
   // Lockdep hooks (src/telemetry/lockdep.h): stripes of one table flavor
   // share a class keyed by metrics name, the stripe lock's address is the
   // instance (contiguous StripeArray => ascending stripe index == ascending
   // address, which is what makes MultiGuard's sorted order checkable).
-  // Gated on the lockdep master flag; empty when compiled out.
+  // Shared acquisitions are tagged, so a witness report tells reader-side
+  // from writer-side chains.  Gated on the lockdep master flag; empty when
+  // compiled out.
+  template <HoldMode M>
   void LockdepAcquired(std::size_t s, bool trylock, bool multi_key,
                        std::uint64_t wait_ns) {
     if (telemetry::lockdep::Enabled()) {
-      static const int lock_site =
-          telemetry::lockdep::InternSite("LockTable::LockStripe");
+      constexpr bool kShared = M == HoldMode::kShared;
+      static const int lock_site = telemetry::lockdep::InternSite(
+          kShared ? "LockTable::LockShared" : "LockTable::LockStripe");
       static const int multi_site =
           telemetry::lockdep::InternSite("LockTable::LockKeys");
-      static const int try_site =
-          telemetry::lockdep::InternSite("LockTable::TryLockStripe");
+      static const int try_site = telemetry::lockdep::InternSite(
+          kShared ? "LockTable::TryLockShared" : "LockTable::TryLockStripe");
       telemetry::lockdep::OnAcquired(
           P::CpuId(), lockdep_cls_,
           trylock ? try_site : (multi_key ? multi_site : lock_site),
           reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)), trylock,
-          /*shared=*/false, multi_key, wait_ns);
+          kShared, multi_key, wait_ns);
     }
   }
 
@@ -425,9 +586,9 @@ class LockTable {
     }
   }
 
-  // Hold time runs from ownership (AcquireStripe/TryLockStripe completion)
-  // to the start of the release.  A hold taken while telemetry was off
-  // carries no stamp and records nothing.
+  // Hold time runs from ownership (Acquire/TryAcquire completion) to the
+  // start of the release.  A hold taken while telemetry was off carries no
+  // stamp and records nothing.
   void RecordHold(std::uint64_t acquire_ns) {
     if (lat_ != nullptr && telemetry::Enabled() &&
         acquire_ns != Ledger::kUnstamped) {
@@ -436,79 +597,24 @@ class LockTable {
     }
   }
 
-  // True when this table wraps stripe acquisitions in the parking lot's
-  // spin-then-park (locks with their own passive layer forward the flag in
-  // the constructor instead; non-try-lockable kinds cannot park at all).
-  static constexpr bool kTableParks =
-      locks::TryLockable<L> && !locks::BlockingConfigurable<L>;
-
-  // Spin-then-park acquisition.  The bounded try-lock spin keeps light
-  // contention identical to the spinning table; past the budget the waiter
-  // parks keyed by the stripe's lock, with TryLock itself as the
-  // publish-then-recheck revalidate -- so the stripe can never sit free with
-  // a sleeping waiter (the lost-wakeup proof is in parking_lot.h).  Wakeups
-  // barge: a woken waiter retries TryLock against concurrent arrivals and
-  // re-parks if it loses, trading strict FIFO for the unlock-side fast path.
-  void AcquireStripeParked(L& lock, Handle& h, std::size_t s, bool multi_key) {
-    if (lock.TryLock(h)) {
-      stats_.OnAcquire(s, /*was_contended=*/false, multi_key);
-      return;
-    }
-    for (std::uint32_t spin = 0; spin < parking::kBlockingSpinBudget; ++spin) {
-      P::Pause();
-      if (lock.TryLock(h)) {
-        stats_.OnAcquire(s, /*was_contended=*/true, multi_key);
-        return;
-      }
-    }
-    auto& lot = parking::ParkingLot<P>::Global();
-    bool acquired = false;
-    while (!acquired) {
-      lot.ParkConditionally(
-          &lock,
-          [&] {
-            acquired = lock.TryLock(h);
-            return !acquired;  // park only while the stripe stays busy
-          },
-          parking::kBlockingParkTimeoutNs);
-    }
-    stats_.OnAcquire(s, /*was_contended=*/true, multi_key);
-  }
-
+  // A blocking table's release wakes parked waiters of the stripe.  Only
+  // one waiter can take a free mutex stripe, and only a writer can be
+  // blocked by a reader, so those releases wake one, preferring this
+  // socket (CNA's socket-local handoff carried into the blocking layer).
+  // A writer release of a reader-writer stripe wakes every waiter: a whole
+  // reader convoy may have parked behind it, and all of them can enter now.
+  template <HoldMode M>
   void UnparkAfterRelease(std::size_t s) {
     if constexpr (kTableParks) {
       if (blocking_) {
-        parking::ParkingLot<P>::Global().UnparkOne(&StripeLock(s),
-                                                   P::CurrentSocket());
-      }
-    }
-  }
-
-  void AcquireStripeImpl(L& lock, Handle& h, std::size_t s, bool multi_key) {
-    if constexpr (kTableParks) {
-      if (blocking_) {
-        AcquireStripeParked(lock, h, s, multi_key);
-        return;
-      }
-    }
-    if (stats_.enabled()) {
-      // Stats mode probes with a try-lock first so contention is observable
-      // (sampled when stats_probe_period > 1); the stats-off path below is
-      // the undisturbed one-SWAP acquisition.
-      if constexpr (locks::TryLockable<L>) {
-        if (probe_mask_ == 0 || (P::Random() & probe_mask_) == 0) {
-          if (lock.TryLock(h)) {
-            stats_.OnAcquire(s, /*was_contended=*/false, multi_key);
-            return;
-          }
-          lock.Lock(h);
-          stats_.OnAcquire(s, /*was_contended=*/true, multi_key);
-          return;
+        auto& lot = parking::ParkingLot<P>::Global();
+        if constexpr (kReaderWriter && M == HoldMode::kExclusive) {
+          lot.UnparkAll(&StripeLock(s));
+        } else {
+          lot.UnparkOne(&StripeLock(s), P::CurrentSocket());
         }
       }
     }
-    lock.Lock(h);
-    stats_.OnAcquire(s, /*was_contended=*/false, multi_key);
   }
 
   StripeArray<L> array_;

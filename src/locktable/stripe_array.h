@@ -1,7 +1,7 @@
 // StripeArray<L>: the storage/stride/hash core shared by every lock table.
 //
-// LockTable, RwLockTable (and, through composition, CombiningTable) and the
-// resizable table's snapshots all need the same thing: a power-of-two array
+// LockTable in both lock modes (and, through composition, CombiningTable) and
+// the resizable table's snapshots all need the same thing: a power-of-two array
 // of in-place-constructed lock stripes, packed at sizeof(L) by default (the
 // paper's compactness claim -- a million-stripe CNA table is exactly 8 MiB of
 // lock words) or padded to a cache line each, plus the SplitMix64 key->stripe

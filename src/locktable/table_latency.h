@@ -18,29 +18,23 @@
 
 namespace cna::locktable {
 
-// LockTable: acquisition latency (entry to ownership) and hold time.
+// LockTable: acquisition latency (entry to ownership) and hold time.  A
+// table over reader-writer stripes names the exclusive side for writers,
+// adds a wait histogram for readers, and does not time shared holds.
 struct TableLatency {
-  explicit TableLatency(const char* prefix)
-      : wait(telemetry::Registry::Global().GetHistogram(std::string(prefix) +
-                                                        ".wait_ns")),
-        hold(telemetry::Registry::Global().GetHistogram(std::string(prefix) +
-                                                        ".hold_ns")) {}
-  telemetry::Histogram& wait;
+  TableLatency(const char* prefix, bool reader_writer)
+      : wait{&Named(prefix, reader_writer ? ".write_wait_ns" : ".wait_ns"),
+             reader_writer ? &Named(prefix, ".read_wait_ns") : nullptr},
+        hold(Named(prefix, reader_writer ? ".write_hold_ns" : ".hold_ns")) {}
+  // Indexed by HoldMode: exclusive, then shared (null over mutex stripes).
+  telemetry::Histogram* wait[2];
   telemetry::Histogram& hold;
-};
 
-// RwLockTable: read- and write-side acquisition latency, write hold time.
-struct RwTableLatency {
-  explicit RwTableLatency(const char* prefix)
-      : read_wait(telemetry::Registry::Global().GetHistogram(
-            std::string(prefix) + ".read_wait_ns")),
-        write_wait(telemetry::Registry::Global().GetHistogram(
-            std::string(prefix) + ".write_wait_ns")),
-        write_hold(telemetry::Registry::Global().GetHistogram(
-            std::string(prefix) + ".write_hold_ns")) {}
-  telemetry::Histogram& read_wait;
-  telemetry::Histogram& write_wait;
-  telemetry::Histogram& write_hold;
+ private:
+  static telemetry::Histogram& Named(const char* prefix, const char* suffix) {
+    return telemetry::Registry::Global().GetHistogram(std::string(prefix) +
+                                                      suffix);
+  }
 };
 
 // CombiningTable: operation latency (submit to completion) and the size of

@@ -16,29 +16,39 @@
 #include <memory>
 
 #include "locks/cna_stats.h"
+#include "locktable/held_ledger.h"
 
 namespace cna::locktable {
 
 // One cell per stripe, allocated only when LockTableOptions::collect_stats is
 // set.  Padded so hot stripes do not false-share their counters.
 struct alignas(64) StripeCounters {
-  // Successful Lock()/TryLock() acquisitions of this stripe.
+  // Successful exclusive acquisitions of this stripe (every acquisition of
+  // a mutex stripe).
   std::atomic<std::uint64_t> acquisitions{0};
-  // Acquisitions that found the stripe already held (detected by a failed
-  // try-lock on the way in; a lower bound on true contention).
+  // Exclusive acquisitions that found the stripe already held (detected by a
+  // failed try-lock on the way in; a lower bound on true contention).
   std::atomic<std::uint64_t> contended{0};
-  // TryLock() calls that returned false to the caller.
+  // Try-lock calls, in either mode, that returned false to the caller.
   std::atomic<std::uint64_t> trylock_failures{0};
   // Acquisitions made on behalf of a multi-key (MultiGuard) transaction.
   std::atomic<std::uint64_t> multi_key{0};
+  // The same two counts for shared acquisitions (reader-writer stripes).
+  std::atomic<std::uint64_t> shared_acquisitions{0};
+  std::atomic<std::uint64_t> shared_contended{0};
 };
+static_assert(sizeof(StripeCounters) == 64, "one cache line per stripe");
 
 // Aggregated view over all stripes plus the global CNA event counters.
+// Acquisition counts cover both modes.
 struct TableStatsSummary {
   std::uint64_t total_acquisitions = 0;
   std::uint64_t contended_acquisitions = 0;
   std::uint64_t trylock_failures = 0;
   std::uint64_t multi_key_acquisitions = 0;
+  // The shared-mode part of the first two counts (reader-writer stripes).
+  std::uint64_t shared_acquisitions = 0;
+  std::uint64_t shared_contended = 0;
 
   // Occupancy: how much of the namespace the workload actually touched.
   std::size_t stripes = 0;
@@ -78,14 +88,18 @@ class TableStats {
 
   bool enabled() const { return cells_ != nullptr; }
 
+  template <HoldMode M>
   void OnAcquire(std::size_t stripe, bool was_contended, bool multi_key) {
     if (cells_ == nullptr) {
       return;
     }
     StripeCounters& c = cells_[stripe];
-    c.acquisitions.fetch_add(1, std::memory_order_relaxed);
+    constexpr bool kShared = M == HoldMode::kShared;
+    (kShared ? c.shared_acquisitions : c.acquisitions)
+        .fetch_add(1, std::memory_order_relaxed);
     if (was_contended) {
-      c.contended.fetch_add(1, std::memory_order_relaxed);
+      (kShared ? c.shared_contended : c.contended)
+          .fetch_add(1, std::memory_order_relaxed);
     }
     if (multi_key) {
       c.multi_key.fetch_add(1, std::memory_order_relaxed);
@@ -106,15 +120,22 @@ class TableStats {
     TableStatsSummary out;
     out.stripes = stripes_;
     for (std::size_t s = 0; cells_ != nullptr && s < stripes_; ++s) {
+      const std::uint64_t shared =
+          cells_[s].shared_acquisitions.load(std::memory_order_relaxed);
+      const std::uint64_t shared_contended =
+          cells_[s].shared_contended.load(std::memory_order_relaxed);
       const std::uint64_t acq =
-          cells_[s].acquisitions.load(std::memory_order_relaxed);
+          cells_[s].acquisitions.load(std::memory_order_relaxed) + shared;
       out.total_acquisitions += acq;
       out.contended_acquisitions +=
-          cells_[s].contended.load(std::memory_order_relaxed);
+          cells_[s].contended.load(std::memory_order_relaxed) +
+          shared_contended;
       out.trylock_failures +=
           cells_[s].trylock_failures.load(std::memory_order_relaxed);
       out.multi_key_acquisitions +=
           cells_[s].multi_key.load(std::memory_order_relaxed);
+      out.shared_acquisitions += shared;
+      out.shared_contended += shared_contended;
       if (acq > 0) {
         ++out.occupied_stripes;
       }
@@ -131,36 +152,34 @@ class TableStats {
   std::unique_ptr<StripeCounters[]> cells_;
 };
 
-// ---------------------------------------------------------------------------
-// Reader-writer variant (rw_lock_table.h): per-stripe read/write acquisition
-// and writer-wait counters.  Same conventions as above: plain std::atomic
-// cells, allocated only when stats are requested, no-ops otherwise.
-// ---------------------------------------------------------------------------
-
-struct alignas(64) RwStripeCounters {
-  // Successful shared (read) and exclusive (write) acquisitions.
-  std::atomic<std::uint64_t> read_acquisitions{0};
-  std::atomic<std::uint64_t> write_acquisitions{0};
-  // Read acquisitions whose try-probe failed (a writer held or was waiting on
-  // the stripe; a lower bound on true read-side blocking).
-  std::atomic<std::uint64_t> read_contended{0};
-  // Write acquisitions whose try-probe failed -- the writer had to wait for
-  // readers to drain or for another writer (the "writer-wait" counter).
-  std::atomic<std::uint64_t> writer_waits{0};
-  // TryLockShared/TryLockExclusive calls that returned false to the caller.
-  std::atomic<std::uint64_t> trylock_failures{0};
-};
-
+// Read/write view of a reader-writer table's summary (RwLockTable's
+// StatsSummary): reads are its shared acquisitions, writes the rest.
 struct RwTableStatsSummary {
-  std::uint64_t read_acquisitions = 0;
-  std::uint64_t write_acquisitions = 0;
-  std::uint64_t read_contended = 0;
-  std::uint64_t writer_waits = 0;
-  std::uint64_t trylock_failures = 0;
+  explicit RwTableStatsSummary(const TableStatsSummary& s)
+      : read_acquisitions(s.shared_acquisitions),
+        write_acquisitions(s.total_acquisitions - s.shared_acquisitions),
+        read_contended(s.shared_contended),
+        writer_waits(s.contended_acquisitions - s.shared_contended),
+        trylock_failures(s.trylock_failures),
+        multi_key_acquisitions(s.multi_key_acquisitions),
+        stripes(s.stripes),
+        occupied_stripes(s.occupied_stripes),
+        max_stripe_acquisitions(s.max_stripe_acquisitions) {}
 
-  std::size_t stripes = 0;
-  std::size_t occupied_stripes = 0;  // stripes with >= 1 acquisition
-  std::uint64_t max_stripe_acquisitions = 0;
+  std::uint64_t read_acquisitions;
+  std::uint64_t write_acquisitions;
+  // Read acquisitions whose try-probe failed (a writer held or was waiting
+  // on the stripe; a lower bound on true read-side blocking).
+  std::uint64_t read_contended;
+  // Write acquisitions whose try-probe failed -- the writer had to wait for
+  // readers to drain or for another writer.
+  std::uint64_t writer_waits;
+  std::uint64_t trylock_failures;
+  std::uint64_t multi_key_acquisitions;  // exclusive, via MultiGuard
+
+  std::size_t stripes;
+  std::size_t occupied_stripes;  // stripes with >= 1 acquisition
+  std::uint64_t max_stripe_acquisitions;
 
   std::uint64_t TotalAcquisitions() const {
     return read_acquisitions + write_acquisitions;
@@ -178,80 +197,6 @@ struct RwTableStatsSummary {
                : static_cast<double>(writer_waits) /
                      static_cast<double>(write_acquisitions);
   }
-};
-
-class RwTableStats {
- public:
-  RwTableStats() = default;
-
-  void Enable(std::size_t stripes) {
-    stripes_ = stripes;
-    cells_ = std::make_unique<RwStripeCounters[]>(stripes);
-  }
-
-  bool enabled() const { return cells_ != nullptr; }
-
-  void OnReadAcquire(std::size_t stripe, bool was_contended) {
-    if (cells_ == nullptr) {
-      return;
-    }
-    RwStripeCounters& c = cells_[stripe];
-    c.read_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (was_contended) {
-      c.read_contended.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void OnWriteAcquire(std::size_t stripe, bool waited) {
-    if (cells_ == nullptr) {
-      return;
-    }
-    RwStripeCounters& c = cells_[stripe];
-    c.write_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (waited) {
-      c.writer_waits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void OnTryLockFailure(std::size_t stripe) {
-    if (cells_ != nullptr) {
-      cells_[stripe].trylock_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  const RwStripeCounters* stripe(std::size_t s) const {
-    return cells_ == nullptr ? nullptr : &cells_[s];
-  }
-
-  RwTableStatsSummary Summarize() const {
-    RwTableStatsSummary out;
-    out.stripes = stripes_;
-    for (std::size_t s = 0; cells_ != nullptr && s < stripes_; ++s) {
-      const std::uint64_t reads =
-          cells_[s].read_acquisitions.load(std::memory_order_relaxed);
-      const std::uint64_t writes =
-          cells_[s].write_acquisitions.load(std::memory_order_relaxed);
-      out.read_acquisitions += reads;
-      out.write_acquisitions += writes;
-      out.read_contended +=
-          cells_[s].read_contended.load(std::memory_order_relaxed);
-      out.writer_waits +=
-          cells_[s].writer_waits.load(std::memory_order_relaxed);
-      out.trylock_failures +=
-          cells_[s].trylock_failures.load(std::memory_order_relaxed);
-      if (reads + writes > 0) {
-        ++out.occupied_stripes;
-      }
-      if (reads + writes > out.max_stripe_acquisitions) {
-        out.max_stripe_acquisitions = reads + writes;
-      }
-    }
-    return out;
-  }
-
- private:
-  std::size_t stripes_ = 0;
-  std::unique_ptr<RwStripeCounters[]> cells_;
 };
 
 // ---------------------------------------------------------------------------

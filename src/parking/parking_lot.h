@@ -371,6 +371,40 @@ class ParkingLot {
   std::atomic<std::uint64_t> stats_cancels_{0};
 };
 
+// Spin-then-park acquisition of a lock with a try-lock path.  The bounded
+// spin keeps light contention identical to a spinning acquisition; past the
+// budget the waiter parks keyed by `key` (the lock's address), with
+// try_acquire itself as the publish-then-recheck revalidate -- so the lock
+// can never sit free with a sleeping waiter (the lost-wakeup proof is at the
+// top of this file).  Wakeups barge: a woken waiter retries try_acquire
+// against concurrent arrivals and re-parks if it loses, trading strict FIFO
+// for the unlock-side fast path.  Returns whether the first attempt failed,
+// i.e. whether the acquisition was contended.
+template <typename P, typename TryAcquire>
+bool SpinThenPark(const void* key, TryAcquire&& try_acquire) {
+  if (try_acquire()) {
+    return false;
+  }
+  for (std::uint32_t spin = 0; spin < kBlockingSpinBudget; ++spin) {
+    P::Pause();
+    if (try_acquire()) {
+      return true;
+    }
+  }
+  auto& lot = ParkingLot<P>::Global();
+  bool acquired = false;
+  while (!acquired) {
+    lot.ParkConditionally(
+        key,
+        [&] {
+          acquired = try_acquire();
+          return !acquired;  // park only while the lock stays busy
+        },
+        kBlockingParkTimeoutNs);
+  }
+  return true;
+}
+
 }  // namespace cna::parking
 
 #endif  // CNA_PARKING_PARKING_LOT_H_

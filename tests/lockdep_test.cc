@@ -1,7 +1,7 @@
 // Lockdep-lite tests: class interning, the seeded AB/BA inversion with its
 // two-chain witness, the MultiGuard ascending-stripe invariant, the
 // park-while-holding detector, folded-stack attribution, the sim machine's
-// schedule-exploration gate, and the C surface.
+// schedule-exploration gate, and the C surface, rwlocks included.
 //
 // Every scenario that seeds an inversion does so with two DISTINCT classes
 // (two tables with different metrics names, or two mutex kinds): same-class
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/pthread_api.h"
+#include "core/registry.h"
 #include "locks/cna.h"
 #include "locktable/lock_table.h"
 #include "parking/parking_lot.h"
@@ -536,6 +537,61 @@ TEST_F(LockdepTest, CApiReportsSeededInversion) {
 
   cna_mutex_destroy(cna_mu);
   cna_mutex_destroy(mcs_mu);
+}
+
+// Reader-writer locks enter the dependency graph through the same adapter
+// hooks as mutexes, on both sides: an AB/BA between an rwlock and a mutex is
+// one inversion whether the rwlock is write- or read-locked, through the C
+// API and through core::SharedMutex/core::Mutex.  The read-side witness
+// names the shared acquisition site.
+TEST_F(LockdepTest, RwLocksJoinTheGraphOnBothSides) {
+  // Takes rw then mu, then mu then rw; returns the inversion report.
+  auto ab_ba = [](auto rw_lock, auto rw_unlock, auto mu_lock, auto mu_unlock) {
+    lockdep::Reset();
+    rw_lock();
+    mu_lock();
+    mu_unlock();
+    rw_unlock();
+    EXPECT_EQ(lockdep::InversionCount(), 0u);
+    mu_lock();
+    rw_lock();
+    rw_unlock();
+    mu_unlock();
+    EXPECT_EQ(lockdep::InversionCount(), 1u);
+    return lockdep::ReportText();
+  };
+
+  cna_rwlock_t* c_rw = cna_rwlock_create("cna-rw");
+  cna_mutex_t* c_mu = cna_mutex_create("cna");
+  ASSERT_NE(c_rw, nullptr);
+  ASSERT_NE(c_mu, nullptr);
+  auto c_mu_lock = [&] { cna_mutex_lock(c_mu); };
+  auto c_mu_unlock = [&] { cna_mutex_unlock(c_mu); };
+  auto c_rw_unlock = [&] { cna_rwlock_unlock(c_rw); };
+  std::string report = ab_ba([&] { cna_rwlock_wrlock(c_rw); }, c_rw_unlock,
+                             c_mu_lock, c_mu_unlock);
+  EXPECT_NE(report.find("rwlock/cna-rw @ AnyLock::Lock"), std::string::npos)
+      << report;
+  report = ab_ba([&] { cna_rwlock_rdlock(c_rw); }, c_rw_unlock, c_mu_lock,
+                 c_mu_unlock);
+  EXPECT_NE(report.find("rwlock/cna-rw @ AnyRwLock::LockShared"),
+            std::string::npos)
+      << report;
+  cna_rwlock_destroy(c_rw);
+  cna_mutex_destroy(c_mu);
+
+  core::SharedMutex rw("cna-rw-compact");
+  core::Mutex mu("mcs");
+  auto mu_lock = [&] { mu.lock(); };
+  auto mu_unlock = [&] { mu.unlock(); };
+  report = ab_ba([&] { rw.lock(); }, [&] { rw.unlock(); }, mu_lock, mu_unlock);
+  EXPECT_NE(report.find("rwlock/cna-rw-compact"), std::string::npos)
+      << report;
+  report = ab_ba([&] { rw.lock_shared(); }, [&] { rw.unlock_shared(); },
+                 mu_lock, mu_unlock);
+  EXPECT_NE(report.find("rwlock/cna-rw-compact @ AnyRwLock::LockShared"),
+            std::string::npos)
+      << report;
 }
 
 // With tracking disabled, every hook is one relaxed load and nothing is

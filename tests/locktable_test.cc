@@ -1,7 +1,8 @@
 // Lock-table subsystem tests: namespace geometry, the handle-free locking
-// surface, Guard/MultiGuard semantics, per-stripe statistics, and the
-// simulator-based stress tests (many fibers, random multi-key transactions;
-// no deadlock -- Machine::Run() throws on one -- and no lost updates).
+// surface, Guard/MultiGuard semantics (typed over mutex and reader-writer
+// stripes), per-stripe statistics, and the simulator-based stress tests
+// (many fibers, random multi-key transactions; no deadlock --
+// Machine::Run() throws on one -- and no lost updates).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "base/cacheline.h"
 #include "base/rng.h"
 #include "locks/cna.h"
+#include "locks/cna_rwlock.h"
 #include "locks/mcs.h"
 #include "locktable/lock_table.h"
 #include "platform/real_platform.h"
@@ -26,6 +28,7 @@ namespace {
 
 using RealCna = locks::CnaLock<RealPlatform>;
 using SimCna = locks::CnaLock<SimPlatform>;
+using RealRwCompact = locks::CnaRwLock<RealPlatform, locks::CnaRwCompactConfig>;
 using RealTable = locktable::LockTable<RealPlatform, RealCna>;
 using SimTable = locktable::LockTable<SimPlatform, SimCna>;
 
@@ -36,14 +39,6 @@ sim::MachineConfig TwoSocketSmall(int cpus_per_socket = 8) {
 }
 
 // ---------- Geometry ----------
-
-TEST(LockTable, StripeCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(RealTable({.stripes = 0}).stripes(), 1u);
-  EXPECT_EQ(RealTable({.stripes = 1}).stripes(), 1u);
-  EXPECT_EQ(RealTable({.stripes = 16}).stripes(), 16u);
-  EXPECT_EQ(RealTable({.stripes = 17}).stripes(), 32u);
-  EXPECT_EQ(RealTable({.stripes = 1000}).stripes(), 1024u);
-}
 
 TEST(LockTable, StripeOfIsDeterministicAndInRange) {
   RealTable table({.stripes = 64});
@@ -66,28 +61,10 @@ TEST(LockTable, HashSpreadsSequentialKeysAcrossStripes) {
   EXPECT_GT(stripes.size(), 48u);
 }
 
-TEST(LockTable, CompactLayoutIsOneWordPerStripe) {
-  RealTable table({.stripes = 1024});
-  EXPECT_EQ(table.LockStateBytes(), 1024 * sizeof(void*));
-  EXPECT_EQ(RealTable::PerStripeStateBytes(), sizeof(void*));
-}
-
 TEST(LockTable, CacheLinePaddingCostsALinePerStripe) {
   RealTable table(
       {.stripes = 64, .padding = locktable::StripePadding::kCacheLine});
   EXPECT_EQ(table.LockStateBytes(), 64 * kCacheLineSize);
-}
-
-// The headline acceptance number: a million-stripe CNA namespace is 8 MiB of
-// lock words -- cheap enough to embed a NUMA-aware lock per object.
-TEST(LockTable, MillionStripeTableIsEightMiB) {
-  RealTable table({.stripes = 1u << 20});
-  EXPECT_EQ(table.stripes(), 1u << 20);
-  EXPECT_EQ(table.LockStateBytes(), (1u << 20) * sizeof(void*));
-  EXPECT_LE(table.LockStateBytes(), 8u << 20);
-  // And it is usable, not just allocatable.
-  table.Lock(123456789);
-  table.Unlock(123456789);
 }
 
 // ---------- Handle-free locking surface ----------
@@ -128,11 +105,6 @@ TEST(LockTable, DistinctStripesUnlockOutOfOrder) {
   EXPECT_EQ(table.HeldByThisContext(), 0u);
 }
 
-TEST(LockTable, UnlockOfUnheldStripeThrows) {
-  RealTable table({.stripes = 16});
-  EXPECT_THROW(table.Unlock(3), std::logic_error);
-}
-
 TEST(LockTable, LedgerReusesNodesAcrossAcquisitions) {
   // A fresh thread has a fresh ledger, so earlier tests' nesting cannot
   // have grown it.  100 sequential acquisitions reuse one inline node and
@@ -155,51 +127,105 @@ TEST(LockTable, LedgerReusesNodesAcrossAcquisitions) {
   }).join();
 }
 
-// ---------- Guard / MultiGuard ----------
+// ---------- Exclusive surface over both stripe types ----------
+//
+// A reader-writer table is LockTable over a SharedLockable stripe, so its
+// exclusive surface is the mutex table's code path; these cases run it over
+// CNA and over the one-word compact CnaRwLock.
 
-TEST(LockTable, GuardIsRaii) {
-  RealTable table({.stripes = 16});
+template <typename L>
+class StripeTypeTest : public ::testing::Test {
+ protected:
+  using Table = locktable::LockTable<RealPlatform, L>;
+};
+using StripeTypes = ::testing::Types<RealCna, RealRwCompact>;
+TYPED_TEST_SUITE(StripeTypeTest, StripeTypes);
+
+TYPED_TEST(StripeTypeTest, StripeCountRoundsUpToPowerOfTwo) {
+  using Table = typename TestFixture::Table;
+  EXPECT_EQ(Table({.stripes = 0}).stripes(), 1u);
+  EXPECT_EQ(Table({.stripes = 1}).stripes(), 1u);
+  EXPECT_EQ(Table({.stripes = 16}).stripes(), 16u);
+  EXPECT_EQ(Table({.stripes = 17}).stripes(), 32u);
+  EXPECT_EQ(Table({.stripes = 1000}).stripes(), 1024u);
+}
+
+TYPED_TEST(StripeTypeTest, CompactLayoutIsOneWordPerStripe) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 1024});
+  EXPECT_EQ(table.LockStateBytes(), 1024 * sizeof(void*));
+  EXPECT_EQ(Table::PerStripeStateBytes(), sizeof(void*));
+}
+
+// The headline acceptance number: a million-stripe CNA namespace -- mutex or
+// reader-writer -- is 8 MiB of lock words, cheap enough to embed a
+// NUMA-aware lock per object.
+TYPED_TEST(StripeTypeTest, MillionStripeTableIsEightMiB) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 1u << 20});
+  EXPECT_EQ(table.stripes(), 1u << 20);
+  EXPECT_EQ(table.LockStateBytes(), (1u << 20) * sizeof(void*));
+  EXPECT_LE(table.LockStateBytes(), 8u << 20);
+  // And it is usable, not just allocatable.
+  table.Lock(123456789);
+  table.Unlock(123456789);
+}
+
+TYPED_TEST(StripeTypeTest, UnlockOfUnheldStripeThrows) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 16});
+  EXPECT_THROW(table.Unlock(3), std::logic_error);
+  EXPECT_THROW(table.UnlockStripe(table.StripeOf(3)), std::logic_error);
+}
+
+TYPED_TEST(StripeTypeTest, GuardIsRaii) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 16});
   {
-    RealTable::Guard g(table, 9);
+    typename Table::Guard g(table, 9);
     EXPECT_EQ(table.HeldByThisContext(), 1u);
     EXPECT_EQ(g.stripe(), table.StripeOf(9));
   }
   EXPECT_EQ(table.HeldByThisContext(), 0u);
 }
 
-TEST(LockTable, MultiGuardDeduplicatesCollidingKeys) {
-  RealTable table({.stripes = 1});  // every key collides on stripe 0
+TYPED_TEST(StripeTypeTest, MultiGuardDeduplicatesCollidingKeys) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 1});  // every key collides on stripe 0
   {
-    RealTable::MultiGuard g(table, {1, 2, 3, 4});
+    typename Table::MultiGuard g(table, {1, 2, 3, 4});
     EXPECT_EQ(g.stripes().size(), 1u);
     EXPECT_EQ(table.HeldByThisContext(), 1u);
   }
   EXPECT_EQ(table.HeldByThisContext(), 0u);
 }
 
-TEST(LockTable, MultiGuardAcquiresStripesInAscendingOrder) {
-  RealTable table({.stripes = 1024});
-  RealTable::MultiGuard g(table, {11, 22, 33, 44, 55});
+TYPED_TEST(StripeTypeTest, MultiGuardAcquiresStripesInAscendingOrder) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 1024});
+  typename Table::MultiGuard g(table, {11, 22, 33, 44, 55});
   const auto& stripes = g.stripes();
   for (std::size_t i = 1; i < stripes.size(); ++i) {
     EXPECT_LT(stripes[i - 1], stripes[i]);
   }
 }
 
-TEST(LockTable, MultiGuardHandlesDuplicateKeys) {
-  RealTable table({.stripes = 64});
-  RealTable::MultiGuard g(table, {7, 7, 7});
+TYPED_TEST(StripeTypeTest, MultiGuardHandlesDuplicateKeys) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 64});
+  typename Table::MultiGuard g(table, {7, 7, 7});
   EXPECT_EQ(g.stripes().size(), 1u);
 }
 
-TEST(LockTable, MultiGuardBeyondInlineCapacity) {
-  RealTable table({.stripes = 4096});
+TYPED_TEST(StripeTypeTest, MultiGuardBeyondInlineCapacity) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 4096});
   std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < RealTable::MultiGuard::kInlineKeys + 8; ++k) {
+  for (std::uint64_t k = 0; k < Table::MultiGuard::kInlineKeys + 8; ++k) {
     keys.push_back(k * 977);
   }
   {
-    RealTable::MultiGuard g(table, keys.data(), keys.size());
+    typename Table::MultiGuard g(table, keys.data(), keys.size());
     EXPECT_EQ(table.HeldByThisContext(), g.size());
     const auto stripes = g.stripes();
     for (std::size_t i = 1; i < stripes.size(); ++i) {
@@ -208,6 +234,23 @@ TEST(LockTable, MultiGuardBeyondInlineCapacity) {
   }
   EXPECT_EQ(table.HeldByThisContext(), 0u);
 }
+
+TYPED_TEST(StripeTypeTest, CheckedUnlockKeysIsAllOrNothing) {
+  using Table = typename TestFixture::Table;
+  Table table({.stripes = 1024});
+  std::uint64_t held = 1;
+  std::uint64_t unheld = 2;
+  while (table.StripeOf(held) == table.StripeOf(unheld)) {
+    ++unheld;
+  }
+  table.Lock(held);
+  const std::uint64_t keys[2] = {unheld, held};
+  EXPECT_THROW(table.UnlockKeys(keys, 2), std::logic_error);
+  EXPECT_EQ(table.HeldByThisContext(), 1u);  // nothing was half-released
+  table.Unlock(held);
+}
+
+// ---------- Stripe array ----------
 
 // The first stripe starts a cache line in the compact layout too, wherever
 // the allocator happens to be: which stripes share a line (and so every
@@ -236,20 +279,6 @@ TEST(LockTable, CompactStripeArrayStartsACacheLine) {
 TEST(LockTable, RejectsAbsurdStripeCounts) {
   EXPECT_THROW(RealTable({.stripes = RealTable::kMaxStripes + 1}),
                std::length_error);
-}
-
-TEST(LockTable, CheckedUnlockKeysIsAllOrNothing) {
-  RealTable table({.stripes = 1024});
-  std::uint64_t held = 1;
-  std::uint64_t unheld = 2;
-  while (table.StripeOf(held) == table.StripeOf(unheld)) {
-    ++unheld;
-  }
-  table.Lock(held);
-  const std::uint64_t keys[2] = {unheld, held};
-  EXPECT_THROW(table.UnlockKeys(keys, 2), std::logic_error);
-  EXPECT_EQ(table.HeldByThisContext(), 1u);  // nothing was half-released
-  table.Unlock(held);
 }
 
 // ---------- Statistics ----------

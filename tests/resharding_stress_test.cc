@@ -36,6 +36,21 @@ using RealResizable =
 
 constexpr std::uint64_t kKeyRange = 512;
 
+// A CNA lock that counts its failed try-locks.  With stats on, a table
+// acquisition probes with a try-lock first, so a failed probe means that
+// acquisition found its stripe held and will be counted contended.
+struct ProbeCountingCna : locks::CnaLock<RealPlatform> {
+  static inline std::atomic<std::uint64_t> failed_probes{0};
+
+  bool TryLock(Handle& h) {
+    if (locks::CnaLock<RealPlatform>::TryLock(h)) {
+      return true;
+    }
+    failed_probes.fetch_add(1);
+    return false;
+  }
+};
+
 // --- Grow/shrink under load: no lost updates, exact accounting ---
 
 TEST(ReshardingStress, ManualGrowShrinkUnderLoadLosesNoUpdates) {
@@ -201,34 +216,47 @@ TEST(ReshardingStress, PolicyGrowsUnderUniformContentionAndShrinksWhenQuiet) {
   o.policy.grow_contention = 0.05;
   o.policy.shrink_contention = 0.02;
   o.stats_probe_period = 1;  // exact contention counts: deterministic signal
-  RealResizable table(o);
+  locktable::ResizableLockTable<RealPlatform, ProbeCountingCna> table(o);
 
-  // Contended phase.  Real threads on few cores rarely collide on empty
-  // critical sections (a preempted holder is the only overlap), so one op
-  // in eight yields *inside* the critical section: the holder hands the
-  // core away while holding, and every other worker that runs meanwhile
-  // probes a held stripe -- a contention window the policy must see,
-  // whatever the core count.
-  constexpr int kWorkers = 3;
-  constexpr int kItersPerWorker = 4000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kWorkers; ++t) {
-    workers.emplace_back([&, t] {
-      XorShift64 rng =
-          XorShift64::FromSeed(0x9090 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < kItersPerWorker; ++i) {
-        const std::uint64_t key = rng.NextBelow(kKeyRange);
-        table.Lock(key);
-        if (rng.NextBelow(8) == 0) {
-          std::this_thread::yield();
-        }
-        table.Unlock(key);
+  // Contended phase, independent of scheduling.  Each round the test thread
+  // locks a uniformly drawn key, hands it to the worker, and releases it
+  // only after an acquisition has failed its contention probe against it --
+  // the worker's own, or the lock-step drain of a resize the worker's
+  // policy tick started.  Every round thus holds a contended acquisition
+  // however the threads are scheduled (about half of each policy sample,
+  // far above grow_contention), and the load stays spread over every
+  // stripe (the policy's skew gate).  The next round starts once the
+  // worker has released, so no probe outlives its round.
+  constexpr int kRounds = 1024;
+  constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+  std::atomic<std::uint64_t> next_key{kNoKey};
+  std::atomic<int> rounds_done{0};
+  std::thread worker([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      std::uint64_t key;
+      while ((key = next_key.exchange(kNoKey)) == kNoKey) {
+        std::this_thread::yield();
       }
-    });
+      table.Lock(key);
+      table.Unlock(key);
+      rounds_done.store(i + 1);
+    }
+  });
+  XorShift64 rng = XorShift64::FromSeed(0x9090);
+  for (int i = 0; i < kRounds; ++i) {
+    const std::uint64_t key = rng.NextBelow(kKeyRange);
+    table.Lock(key);
+    const std::uint64_t probes = ProbeCountingCna::failed_probes.load();
+    next_key.store(key);
+    while (ProbeCountingCna::failed_probes.load() == probes) {
+      std::this_thread::yield();
+    }
+    table.Unlock(key);
+    while (rounds_done.load() != i + 1) {
+      std::this_thread::yield();
+    }
   }
-  for (auto& th : workers) {
-    th.join();
-  }
+  worker.join();
   const std::size_t contended_stripes = table.stripes();
   EXPECT_GT(contended_stripes, 4u)
       << "uniform contention on 4 stripes must trigger growth";

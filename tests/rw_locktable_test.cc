@@ -1,8 +1,10 @@
-// RwLockTable subsystem tests: namespace geometry, reader/writer surfaces,
-// guards, per-stripe read/write statistics, the registry factories
-// (MakeRwLockTable, core::SharedMutex, core::ShardedSharedMutex), and the C
-// surface (cna_rwlock_*, cna_rwlocktable_*) round-trip -- including the
-// real-thread stress the CI ThreadSanitizer job runs.
+// RwLockTable subsystem tests: reader/writer surfaces and guards (the
+// exclusive surface shared with the mutex table runs typed over both stripe
+// types in locktable_test.cc), per-stripe read/write statistics, the
+// registry factories (MakeRwLockTable, core::SharedMutex,
+// core::ShardedSharedMutex), and the C surface (cna_rwlock_*,
+// cna_rwlocktable_*) round-trip -- including the real-thread stress the CI
+// ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,27 +28,10 @@ using RealRw = locks::CnaRwLock<RealPlatform>;
 using RealRwCompact = locks::CnaRwLock<RealPlatform, locks::CnaRwCompactConfig>;
 using Table = locktable::RwLockTable<RealPlatform, RealRw>;
 using CompactTable = locktable::RwLockTable<RealPlatform, RealRwCompact>;
+constexpr auto kShared = locktable::HoldMode::kShared;
+constexpr auto kExclusive = locktable::HoldMode::kExclusive;
 
 // ---------- Geometry ----------
-
-TEST(RwLockTable, StripeCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(CompactTable({.stripes = 0}).stripes(), 1u);
-  EXPECT_EQ(CompactTable({.stripes = 17}).stripes(), 32u);
-  EXPECT_EQ(CompactTable({.stripes = 1000}).stripes(), 1024u);
-}
-
-// The compact rwlock keeps the mutex table's headline economics: one 8-byte
-// word per stripe, so a million-stripe read-write namespace is 8 MiB.
-TEST(RwLockTable, CompactLayoutIsOneWordPerStripe) {
-  CompactTable table({.stripes = 1u << 20});
-  EXPECT_EQ(CompactTable::PerStripeStateBytes(), 8u);
-  EXPECT_EQ(table.LockStateBytes(), (1u << 20) * 8u);
-  // And it is usable, not just allocatable.
-  table.LockShared(123456789);
-  table.UnlockShared(123456789);
-  table.LockExclusive(42);
-  table.UnlockExclusive(42);
-}
 
 TEST(RwLockTable, StripeOfMatchesMutexTableHash) {
   CompactTable rw({.stripes = 64});
@@ -62,13 +47,13 @@ TEST(RwLockTable, StripeOfMatchesMutexTableHash) {
 TEST(RwLockTable, SharedAndExclusiveRoundTrip) {
   Table table({.stripes = 16});
   table.LockShared(7);
-  EXPECT_EQ(table.SharedHeldByThisContext(), 1u);
+  EXPECT_EQ(table.HeldByThisContext(kShared), 1u);
   table.UnlockShared(7);
   table.LockExclusive(7);
-  EXPECT_EQ(table.ExclusiveHeldByThisContext(), 1u);
+  EXPECT_EQ(table.HeldByThisContext(kExclusive), 1u);
   table.UnlockExclusive(7);
-  EXPECT_EQ(table.SharedHeldByThisContext(), 0u);
-  EXPECT_EQ(table.ExclusiveHeldByThisContext(), 0u);
+  EXPECT_EQ(table.HeldByThisContext(kShared), 0u);
+  EXPECT_EQ(table.HeldByThisContext(kExclusive), 0u);
 }
 
 TEST(RwLockTable, ReadersOfOneStripeShare) {
@@ -87,55 +72,37 @@ TEST(RwLockTable, UnifiedUnlockDispatchesOnHeldMode) {
   Table table({.stripes = 16});
   table.LockShared(3);
   table.Unlock(3);  // releases the shared hold
-  EXPECT_EQ(table.SharedHeldByThisContext(), 0u);
+  EXPECT_EQ(table.HeldByThisContext(kShared), 0u);
   table.LockExclusive(3);
   table.Unlock(3);  // releases the exclusive hold
-  EXPECT_EQ(table.ExclusiveHeldByThisContext(), 0u);
+  EXPECT_EQ(table.HeldByThisContext(kExclusive), 0u);
   EXPECT_THROW(table.Unlock(3), std::logic_error);  // held in neither mode
 }
 
-TEST(RwLockTable, GuardsAreRaii) {
+TEST(RwLockTable, ReadGuardIsRaii) {
   Table table({.stripes = 16});
   {
     Table::ReadGuard r(table, 9);
-    EXPECT_EQ(table.SharedHeldByThisContext(), 1u);
+    EXPECT_EQ(table.HeldByThisContext(kShared), 1u);
     EXPECT_EQ(r.stripe(), table.StripeOf(9));
   }
-  {
-    Table::WriteGuard w(table, 9);
-    EXPECT_EQ(table.ExclusiveHeldByThisContext(), 1u);
-  }
-  EXPECT_EQ(table.SharedHeldByThisContext(), 0u);
-  EXPECT_EQ(table.ExclusiveHeldByThisContext(), 0u);
+  EXPECT_EQ(table.HeldByThisContext(), 0u);
 }
 
-TEST(RwLockTable, MultiGuardIsExclusiveAscendingDeduplicated) {
+// The exclusive surface's checked releases match exclusive holds only: a
+// stripe held shared satisfies neither UnlockExclusive nor UnlockKeys, and
+// MultiGuard's holds are exclusive.
+TEST(RwLockTable, ExclusiveReleasesRequireExclusiveHolds) {
   Table table({.stripes = 1024});
-  Table::MultiGuard g(table, {11, 22, 33, 11});
-  const auto stripes = g.stripes();
-  EXPECT_EQ(table.ExclusiveHeldByThisContext(), g.size());
-  for (std::size_t i = 1; i < stripes.size(); ++i) {
-    EXPECT_LT(stripes[i - 1], stripes[i]);
-  }
-}
-
-TEST(RwLockTable, CheckedUnlockKeysIsAllOrNothing) {
-  Table table({.stripes = 1024});
-  std::uint64_t held = 1;
-  std::uint64_t unheld = 2;
-  while (table.StripeOf(held) == table.StripeOf(unheld)) {
-    ++unheld;
-  }
-  table.LockExclusive(held);
-  const std::uint64_t keys[2] = {unheld, held};
-  EXPECT_THROW(table.UnlockKeys(keys, 2), std::logic_error);
-  EXPECT_EQ(table.ExclusiveHeldByThisContext(), 1u);
-  // A stripe held only in *shared* mode does not satisfy the exclusive check.
-  table.UnlockExclusive(held);
-  table.LockShared(held);
-  const std::uint64_t one[1] = {held};
+  table.LockShared(1);
+  const std::uint64_t one[1] = {1};
   EXPECT_THROW(table.UnlockKeys(one, 1), std::logic_error);
-  table.UnlockShared(held);
+  EXPECT_THROW(table.UnlockExclusive(1), std::logic_error);
+  EXPECT_EQ(table.HeldByThisContext(kShared), 1u);
+  table.UnlockShared(1);
+  EXPECT_THROW(table.UnlockShared(1), std::logic_error);
+  Table::MultiGuard g(table, {11, 22, 33, 11});
+  EXPECT_EQ(table.HeldByThisContext(kExclusive), g.size());
 }
 
 // ---------- Statistics ----------
@@ -157,6 +124,21 @@ TEST(RwLockTableStats, CountsReadsWritesAndOccupancy) {
   EXPECT_DOUBLE_EQ(s.ReadShare(), 0.8);
   EXPECT_EQ(s.occupied_stripes, 1u);
   EXPECT_EQ(s.max_stripe_acquisitions, 10u);
+}
+
+// MultiGuard's exclusive acquisitions count as multi-key, as on the mutex
+// table.
+TEST(RwLockTableStats, CountsMultiKeyWrites) {
+  Table table({.stripes = 1024, .collect_stats = true});
+  std::size_t taken = 0;
+  {
+    Table::MultiGuard g(table, {1, 2, 3});
+    taken = g.size();
+  }
+  const auto s = table.StatsSummary();
+  EXPECT_EQ(s.multi_key_acquisitions, taken);
+  EXPECT_EQ(s.write_acquisitions, taken);
+  EXPECT_EQ(s.read_acquisitions, 0u);
 }
 
 TEST(RwLockTableStats, WriterWaitsObservedUnderReaders) {
@@ -281,8 +263,8 @@ TEST(MakeRwLockTable, EveryKindBuildsAndRoundTrips) {
     EXPECT_EQ(table->Name(), core::RwLockKindName(kind));
     table->LockShared(42);
     table->UnlockShared(42);
-    table->LockExclusive(42);
-    table->Unlock(42);  // unified release of the exclusive hold
+    table->Lock(42);
+    table->UnlockAny(42);  // unified release of the exclusive hold
     const std::uint64_t keys[3] = {1, 2, 3};
     table->LockMany(keys, 3);
     table->UnlockMany(keys, 3);

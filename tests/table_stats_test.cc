@@ -127,12 +127,14 @@ TEST(TableStatsProperties, RwLockTableMonotoneAndConsistent) {
   for (std::size_t s = 0; s < table.stripes(); ++s) {
     const auto* c = table.StripeStats(s);
     ASSERT_NE(c, nullptr);
-    const std::uint64_t r = c->read_acquisitions.load();
-    const std::uint64_t w = c->write_acquisitions.load();
+    // One counter cell for both modes: shared acquisitions are the reads,
+    // exclusive ones the writes.
+    const std::uint64_t r = c->shared_acquisitions.load();
+    const std::uint64_t w = c->acquisitions.load();
     reads += r;
     writes += w;
-    rc += c->read_contended.load();
-    ww += c->writer_waits.load();
+    rc += c->shared_contended.load();
+    ww += c->contended.load();
     failures += c->trylock_failures.load();
     occupied += r + w > 0 ? 1 : 0;
     max = r + w > max ? r + w : max;
