@@ -105,8 +105,11 @@ class LockAdapter : public Interface {
   // Ends ledger hold i, a hold of this lock in mode M.
   template <locktable::HoldMode M>
   void Release(Ledger& ledger, std::size_t i) {
-    telemetry::lockdep::OnReleased(P::CpuId(), lockdep_cls_,
-                                   reinterpret_cast<std::uintptr_t>(&impl_));
+    if (telemetry::lockdep::Enabled()) {
+      telemetry::lockdep::OnReleased(P::CpuId(), lockdep_cls_,
+                                     reinterpret_cast<std::uintptr_t>(&impl_),
+                                     P::NowNs());
+    }
     locktable::UnlockIn<M>(impl_, *ledger.At(i).node);
     ledger.Release(i);
   }
@@ -125,7 +128,7 @@ class LockAdapter : public Interface {
       telemetry::lockdep::OnAcquired(
           P::CpuId(), lockdep_cls_, trylock ? try_site : lock_site,
           reinterpret_cast<std::uintptr_t>(&impl_), trylock, kShared,
-          /*nested=*/false, /*wait_ns=*/0);
+          /*nested=*/false, /*wait_ns=*/0, P::NowNs());
     }
   }
 

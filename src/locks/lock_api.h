@@ -86,13 +86,14 @@ class ScopedLock {
       telemetry::lockdep::OnAcquired(
           ctx_, cls, site, reinterpret_cast<std::uintptr_t>(&lock_),
           /*trylock=*/false, /*shared=*/false, /*nested=*/false,
-          /*wait_ns=*/0);
+          /*wait_ns=*/0, telemetry::NowNs());
     }
   }
   ~ScopedLock() {
-    if (cls_ >= 0) {
+    if (cls_ >= 0 && telemetry::lockdep::Enabled()) {
       telemetry::lockdep::OnReleased(
-          ctx_, cls_, reinterpret_cast<std::uintptr_t>(&lock_));
+          ctx_, cls_, reinterpret_cast<std::uintptr_t>(&lock_),
+          telemetry::NowNs());
     }
     lock_.Unlock(handle_);
   }
@@ -123,13 +124,14 @@ class ScopedSharedLock {
       telemetry::lockdep::OnAcquired(
           ctx_, cls, site, reinterpret_cast<std::uintptr_t>(&lock_),
           /*trylock=*/false, /*shared=*/true, /*nested=*/false,
-          /*wait_ns=*/0);
+          /*wait_ns=*/0, telemetry::NowNs());
     }
   }
   ~ScopedSharedLock() {
-    if (cls_ >= 0) {
+    if (cls_ >= 0 && telemetry::lockdep::Enabled()) {
       telemetry::lockdep::OnReleased(
-          ctx_, cls_, reinterpret_cast<std::uintptr_t>(&lock_));
+          ctx_, cls_, reinterpret_cast<std::uintptr_t>(&lock_),
+          telemetry::NowNs());
     }
     lock_.UnlockShared(handle_);
   }

@@ -413,22 +413,21 @@ class LockTable {
     UnlockStripesN(stripes, n);
   }
 
+  // Sinks and clock stamps: each lock edge reads P::NowNs() once for every
+  // sink that wants it -- a blocking acquisition twice when its wait is
+  // timed -- and not at all when none does.  The ownership stamp goes into
+  // the ledger entry (hold histogram) and to lockdep; the release stamp ends
+  // both holds.  With every sink off, an edge costs one or two flag tests.
   template <HoldMode M>
   void Acquire(std::size_t s, bool multi_key) {
     L& lock = StripeLock(s);
     typename Ledger::Held& held = ContextLedger().Checkout(&lock, M);
-    if (lat_ != nullptr && telemetry::Enabled()) {
-      const std::uint64_t t0 = P::NowNs();
-      AcquireImpl<M>(lock, *held.node, s, multi_key);
-      const std::uint64_t t1 = P::NowNs();
-      lat_->wait[static_cast<int>(M)]->RecordAt(P::CurrentSocket(),
-                                                P::CpuId(), t1 - t0);
-      held.acquire_ns = t1;
-      LockdepAcquired<M>(s, /*trylock=*/false, multi_key, t1 - t0);
-      return;
-    }
+    const bool timed = lat_ != nullptr && telemetry::Enabled();
+    const std::uint64_t t0 = timed ? P::NowNs() : 0;
     AcquireImpl<M>(lock, *held.node, s, multi_key);
-    LockdepAcquired<M>(s, /*trylock=*/false, multi_key, 0);
+    if (timed || telemetry::lockdep::Enabled()) {
+      AcquiredSinks<M>(held, s, multi_key, timed, t0);
+    }
   }
 
   template <HoldMode M>
@@ -440,11 +439,19 @@ class LockTable {
       stats_.template OnAcquire<M>(s, /*was_contended=*/false,
                                    /*multi_key=*/false);
       // Only exclusive holds are timed (see TableLatency).
-      if (M == HoldMode::kExclusive && lat_ != nullptr &&
-          telemetry::Enabled()) {
-        held.acquire_ns = P::NowNs();
+      const bool time_hold = M == HoldMode::kExclusive && lat_ != nullptr &&
+                             telemetry::Enabled();
+      const bool lockdep = telemetry::lockdep::Enabled();
+      if (time_hold || lockdep) {
+        const std::uint64_t now = P::NowNs();
+        if (time_hold) {
+          held.acquire_ns = now;
+        }
+        if (lockdep) {
+          LockdepAcquired<M>(s, /*trylock=*/true, /*multi_key=*/false, 0,
+                             now);
+        }
       }
-      LockdepAcquired<M>(s, /*trylock=*/true, /*multi_key=*/false, 0);
       return true;
     }
     stats_.OnTryLockFailure(s);
@@ -543,13 +550,52 @@ class LockTable {
   // Ends ledger hold i, a hold of stripe s (`lock`) in mode M.
   template <HoldMode M>
   void ReleaseHeld(Ledger& ledger, L& lock, std::size_t s, std::size_t i) {
-    if constexpr (M == HoldMode::kExclusive) {
-      RecordHold(ledger.At(i).acquire_ns);
+    if (lat_ != nullptr || telemetry::lockdep::Enabled()) {
+      ReleasedSinks<M>(ledger.At(i).acquire_ns, s);
     }
-    LockdepReleased(s);
     UnlockIn<M>(lock, *ledger.At(i).node);
     ledger.Release(i);
     UnparkAfterRelease<M>(s);
+  }
+
+  // A blocking acquisition's sinks; its wait is timed from t0 when `timed`.
+  // The ownership stamp ends the wait and starts the hold.
+  template <HoldMode M>
+  void AcquiredSinks(typename Ledger::Held& held, std::size_t s,
+                     bool multi_key, bool timed, std::uint64_t t0) {
+    const std::uint64_t now = P::NowNs();
+    std::uint64_t wait_ns = 0;
+    if (timed) {
+      wait_ns = now - t0;
+      lat_->wait[static_cast<int>(M)]->RecordAt(P::CurrentSocket(),
+                                                P::CpuId(), wait_ns);
+      held.acquire_ns = now;
+    }
+    if (telemetry::lockdep::Enabled()) {
+      LockdepAcquired<M>(s, /*trylock=*/false, multi_key, wait_ns, now);
+    }
+  }
+
+  // A release's sinks: one stamp ends the timed hold and the lockdep hold.
+  // Hold time runs from ownership to the start of the release; a hold taken
+  // while telemetry was off carries no stamp and records nothing.
+  template <HoldMode M>
+  void ReleasedSinks(std::uint64_t acquire_ns, std::size_t s) {
+    const bool time_hold = M == HoldMode::kExclusive && lat_ != nullptr &&
+                           telemetry::Enabled() &&
+                           acquire_ns != Ledger::kUnstamped;
+    const bool lockdep = telemetry::lockdep::Enabled();
+    if (time_hold || lockdep) {
+      const std::uint64_t now = P::NowNs();
+      if (time_hold) {
+        lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(), now - acquire_ns);
+      }
+      if (lockdep) {
+        telemetry::lockdep::OnReleased(
+            P::CpuId(), lockdep_cls_,
+            reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)), now);
+      }
+    }
   }
 
   // Lockdep hooks (src/telemetry/lockdep.h): stripes of one table flavor
@@ -557,44 +603,23 @@ class LockTable {
   // instance (contiguous StripeArray => ascending stripe index == ascending
   // address, which is what makes MultiGuard's sorted order checkable).
   // Shared acquisitions are tagged, so a witness report tells reader-side
-  // from writer-side chains.  Gated on the lockdep master flag; empty when
-  // compiled out.
+  // from writer-side chains.  Callers check the lockdep master flag (the
+  // hooks are empty when compiled out).
   template <HoldMode M>
   void LockdepAcquired(std::size_t s, bool trylock, bool multi_key,
-                       std::uint64_t wait_ns) {
-    if (telemetry::lockdep::Enabled()) {
-      constexpr bool kShared = M == HoldMode::kShared;
-      static const int lock_site = telemetry::lockdep::InternSite(
-          kShared ? "LockTable::LockShared" : "LockTable::LockStripe");
-      static const int multi_site =
-          telemetry::lockdep::InternSite("LockTable::LockKeys");
-      static const int try_site = telemetry::lockdep::InternSite(
-          kShared ? "LockTable::TryLockShared" : "LockTable::TryLockStripe");
-      telemetry::lockdep::OnAcquired(
-          P::CpuId(), lockdep_cls_,
-          trylock ? try_site : (multi_key ? multi_site : lock_site),
-          reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)), trylock,
-          kShared, multi_key, wait_ns);
-    }
-  }
-
-  void LockdepReleased(std::size_t s) {
-    if (telemetry::lockdep::Enabled()) {
-      telemetry::lockdep::OnReleased(
-          P::CpuId(), lockdep_cls_,
-          reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)));
-    }
-  }
-
-  // Hold time runs from ownership (Acquire/TryAcquire completion) to the
-  // start of the release.  A hold taken while telemetry was off carries no
-  // stamp and records nothing.
-  void RecordHold(std::uint64_t acquire_ns) {
-    if (lat_ != nullptr && telemetry::Enabled() &&
-        acquire_ns != Ledger::kUnstamped) {
-      lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(),
-                          P::NowNs() - acquire_ns);
-    }
+                       std::uint64_t wait_ns, std::uint64_t now_ns) {
+    constexpr bool kShared = M == HoldMode::kShared;
+    static const int lock_site = telemetry::lockdep::InternSite(
+        kShared ? "LockTable::LockShared" : "LockTable::LockStripe");
+    static const int multi_site =
+        telemetry::lockdep::InternSite("LockTable::LockKeys");
+    static const int try_site = telemetry::lockdep::InternSite(
+        kShared ? "LockTable::TryLockShared" : "LockTable::TryLockStripe");
+    telemetry::lockdep::OnAcquired(
+        P::CpuId(), lockdep_cls_,
+        trylock ? try_site : (multi_key ? multi_site : lock_site),
+        reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)), trylock, kShared,
+        multi_key, wait_ns, now_ns);
   }
 
   // A blocking table's release wakes parked waiters of the stripe.  Only

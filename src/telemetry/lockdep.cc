@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -47,12 +48,60 @@ int InternIn(std::string_view name, char (*names)[kNameBytes], int cap,
 }
 
 // ---------------------------------------------------------------------------
+// Folded-stack attribution: chain signature -> accumulated hold/wait ns.
+// Each held slot keeps kSlotFolds records under its own guard; a slot whose
+// records are all taken spills into the global open-addressed table, and
+// when that is full too the sample is dropped (counted).
+// ---------------------------------------------------------------------------
+struct Fold {
+  bool used = false;
+  int depth = 0;
+  std::uint16_t cls[kChainMax] = {};
+  std::uint16_t site[kChainMax] = {};
+  std::uint64_t hold_ns = 0;
+  std::uint64_t wait_ns = 0;
+};
+
+std::uint64_t ChainHash(const Fold& chain) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the signature
+  for (int i = 0; i < chain.depth; ++i) {
+    h = (h ^ chain.cls[i]) * 1099511628211ull;
+    h = (h ^ chain.site[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The record of `chain`'s signature in table[0, cap), claimed (with zero
+// weights) if the signature is new there; nullptr when the table is full.
+// Caller holds the table's guard.
+Fold* FindFold(Fold* table, int cap, const Fold& chain, std::uint64_t hash) {
+  const auto start = static_cast<int>(hash % static_cast<unsigned>(cap));
+  for (int probe = 0; probe < cap; ++probe) {
+    Fold& f = table[(start + probe) % cap];
+    if (!f.used) {
+      f.used = true;
+      f.depth = chain.depth;
+      std::copy(chain.cls, chain.cls + chain.depth, f.cls);
+      std::copy(chain.site, chain.site + chain.depth, f.site);
+      return &f;
+    }
+    if (f.depth == chain.depth &&
+        std::equal(f.cls, f.cls + f.depth, chain.cls) &&
+        std::equal(f.site, f.site + f.depth, chain.site)) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
+// ---------------------------------------------------------------------------
 // Held-lock stacks: 256 padded slots indexed by ctx % kHeldSlots
 // (thread_local is wrong under the fiber simulator).  Contexts whose ids are
 // congruent modulo kHeldSlots share a slot, so every entry carries its full
 // context id and every reader skips the entries of other contexts -- a
-// context must never see another's held locks as its own.  The TAS guard is
-// never held across a yield point.
+// context must never see another's held locks as its own.  They do share
+// the slot's folds, which carry no context.  The TAS guard is never held
+// across a yield point.
 // ---------------------------------------------------------------------------
 struct HeldEntry {
   int ctx = 0;
@@ -70,9 +119,12 @@ struct alignas(64) HeldSlot {
   std::atomic_flag busy = ATOMIC_FLAG_INIT;
   int n = 0;
   HeldEntry e[kMaxDepth];
+  Fold folds[kSlotFolds];
 };
 
-HeldSlot g_held[kHeldSlots];
+// constinit: lockdep's tables live in .bss, so a process that never turns
+// lockdep on never touches (or pays resident memory for) them.
+constinit HeldSlot g_held[kHeldSlots];
 
 // Entries of `slot` that belong to context `ctx`.  Caller holds the guard.
 int OwnDepth(const HeldSlot& slot, int ctx) {
@@ -115,7 +167,8 @@ class FlagGuard {
 // known) is a single relaxed bitmap load with no guard at all.
 //
 // Guard ordering: held-slot guard, then graph guard, then (leaf) trace-ring
-// or registry internals.  Nothing ever takes them in another order.
+// or registry internals; held-slot guard, then the global fold guard.
+// Nothing ever takes them in another order.
 // ---------------------------------------------------------------------------
 struct ChainEntry {
   std::uint16_t cls = 0;
@@ -155,15 +208,15 @@ struct ParkRec {
 std::atomic_flag g_graph_busy = ATOMIC_FLAG_INIT;
 std::atomic<std::uint64_t> g_adj[kMaxClasses];
 std::atomic<std::uint64_t> g_reported[kMaxClasses];  // inversion dedup bits
-EdgeRec g_edges[kMaxEdges];
+constinit EdgeRec g_edges[kMaxEdges];
 int g_nedges = 0;  // guarded by g_graph_busy
 std::atomic<int> g_nedges_pub{0};
-InversionRec g_inversions[kMaxInversions];
+constinit InversionRec g_inversions[kMaxInversions];
 int g_ninv = 0;  // guarded by g_graph_busy
 std::atomic<int> g_ninv_pub{0};
 
 std::atomic_flag g_park_busy = ATOMIC_FLAG_INIT;
-ParkRec g_parks[kMaxParkReports];
+constinit ParkRec g_parks[kMaxParkReports];
 int g_npark = 0;  // guarded by g_park_busy
 std::atomic<int> g_npark_pub{0};
 
@@ -172,22 +225,9 @@ std::atomic<std::uint64_t> g_park_while_held{0};
 std::atomic<std::uint64_t> g_held_overflows{0};
 std::atomic<std::uint64_t> g_fold_drops{0};
 
-// ---------------------------------------------------------------------------
-// Folded-stack attribution: chain signature -> accumulated hold/wait ns.
-// Open-addressed fixed table; saturation drops samples (counted).
-// ---------------------------------------------------------------------------
-struct Fold {
-  bool used = false;
-  int depth = 0;
-  std::uint16_t cls[kChainMax];
-  std::uint16_t site[kChainMax];
-  std::uint64_t hold_ns = 0;
-  std::uint64_t wait_ns = 0;
-  std::uint64_t count = 0;
-};
-
+// Spill table for chains of slots whose own folds are full.
 std::atomic_flag g_fold_busy = ATOMIC_FLAG_INIT;
-Fold g_folds[kMaxFolds];
+constinit Fold g_folds[kMaxFolds];
 
 Counter& InversionsCounter() {
   static Counter& c = Registry::Global().GetCounter("lockdep.inversions");
@@ -332,48 +372,32 @@ void BuildChain(const HeldSlot& slot, int ctx, int cls, int site,
   w->depth = d + 1;
 }
 
-// Accumulate the chain ending at (and including) entry index `last` into the
-// fold table: that entry's context's own entries only.  Caller holds the
-// slot guard.
-void RecordFold(const HeldSlot& slot, int last, std::uint64_t hold_ns,
+// Accumulate the chain ending at (and including) entry index `last` --
+// that entry's context's own entries only -- into the slot's folds, or the
+// global table when those are full.  Caller holds the slot guard.
+void RecordFold(HeldSlot& slot, int last, std::uint64_t hold_ns,
                 std::uint64_t wait_ns) {
   const int ctx = slot.e[last].ctx;
-  std::uint16_t cls[kChainMax];
-  std::uint16_t site[kChainMax];
-  int depth = 0;
+  Fold chain;
   for (int i = FirstOfLastOwn(slot, ctx, last + 1, kChainMax); i <= last;
        ++i) {
     if (slot.e[i].ctx != ctx) {
       continue;
     }
-    cls[depth] = slot.e[i].cls;
-    site[depth] = slot.e[i].site;
-    ++depth;
+    chain.cls[chain.depth] = slot.e[i].cls;
+    chain.site[chain.depth] = slot.e[i].site;
+    ++chain.depth;
   }
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the signature
-  for (int i = 0; i < depth; ++i) {
-    h = (h ^ cls[i]) * 1099511628211ull;
-    h = (h ^ site[i]) * 1099511628211ull;
+  const std::uint64_t h = ChainHash(chain);
+  if (Fold* f = FindFold(slot.folds, kSlotFolds, chain, h)) {
+    f->hold_ns += hold_ns;
+    f->wait_ns += wait_ns;
+    return;
   }
   FlagGuard g(g_fold_busy);
-  const std::size_t start = h % kMaxFolds;
-  for (std::size_t probe = 0; probe < kMaxFolds; ++probe) {
-    Fold& f = g_folds[(start + probe) % kMaxFolds];
-    if (!f.used) {
-      f.used = true;
-      f.depth = depth;
-      for (int i = 0; i < depth; ++i) {
-        f.cls[i] = cls[i];
-        f.site[i] = site[i];
-      }
-    } else if (f.depth != depth ||
-               !std::equal(f.cls, f.cls + depth, cls) ||
-               !std::equal(f.site, f.site + depth, site)) {
-      continue;
-    }
-    f.hold_ns += hold_ns;
-    f.wait_ns += wait_ns;
-    f.count += 1;
+  if (Fold* f = FindFold(g_folds, kMaxFolds, chain, h)) {
+    f->hold_ns += hold_ns;
+    f->wait_ns += wait_ns;
     return;
   }
   g_fold_drops.fetch_add(1, std::memory_order_relaxed);
@@ -415,16 +439,15 @@ namespace internal {
 
 void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
                     bool trylock, bool shared, bool nested,
-                    std::uint64_t wait_ns) {
+                    std::uint64_t wait_ns, std::uint64_t now_ns) {
   if (cls < 0) {
     return;
   }
   HeldSlot& slot = g_held[static_cast<unsigned>(ctx) % kHeldSlots];
   FlagGuard g(slot.busy);
-  const std::uint64_t now = NowNs();
   if (!trylock && slot.n > 0) {
     Witness w;
-    BuildChain(slot, ctx, cls, site, instance, now, &w);
+    BuildChain(slot, ctx, cls, site, instance, now_ns, &w);
     if (nested) {
       // MultiGuard ascending-instance invariant: within one multi-key
       // transaction, stripes of the same class must strictly ascend.
@@ -456,7 +479,7 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
   e.cls = static_cast<std::uint16_t>(cls);
   e.site = static_cast<std::uint16_t>(site);
   e.instance = instance;
-  e.acquire_ns = now;
+  e.acquire_ns = now_ns;
   e.wait_ns = wait_ns;
   e.trylock = trylock;
   e.shared = shared;
@@ -464,7 +487,8 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
   ++slot.n;
 }
 
-void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance) {
+void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance,
+                    std::uint64_t now_ns) {
   if (cls < 0) {
     return;
   }
@@ -475,9 +499,8 @@ void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance) {
         slot.e[i].instance != instance) {
       continue;
     }
-    const std::uint64_t now = NowNs();
     const std::uint64_t hold =
-        now > slot.e[i].acquire_ns ? now - slot.e[i].acquire_ns : 0;
+        now_ns > slot.e[i].acquire_ns ? now_ns - slot.e[i].acquire_ns : 0;
     RecordFold(slot, i, hold, slot.e[i].wait_ns);
     // Preserve stack order: the remaining entries still describe each
     // context's acquisition chain.
@@ -673,13 +696,30 @@ std::string ReportDot() {
 }
 
 std::string FoldedStacks(bool weight_by_wait) {
-  Fold folds[kMaxFolds];
+  // Merge the global table and every slot's folds by chain signature, each
+  // under its own guard (one at a time); the merged table has room for
+  // every signature they can hold between them.
+  std::vector<Fold> merged(kMaxFolds + kHeldSlots * kSlotFolds);
+  const auto merge = [&merged](const Fold* folds, int n) {
+    for (const Fold* f = folds; f != folds + n; ++f) {
+      if (f->used) {
+        Fold* m = FindFold(merged.data(), static_cast<int>(merged.size()), *f,
+                           ChainHash(*f));
+        m->hold_ns += f->hold_ns;
+        m->wait_ns += f->wait_ns;
+      }
+    }
+  };
   {
     FlagGuard g(g_fold_busy);
-    std::copy(g_folds, g_folds + kMaxFolds, folds);
+    merge(g_folds, kMaxFolds);
+  }
+  for (HeldSlot& slot : g_held) {
+    FlagGuard g(slot.busy);
+    merge(slot.folds, kSlotFolds);
   }
   std::ostringstream os;
-  for (const Fold& f : folds) {
+  for (const Fold& f : merged) {
     if (!f.used) {
       continue;
     }
@@ -717,13 +757,12 @@ void Reset() {
   }
   {
     FlagGuard g(g_fold_busy);
-    for (Fold& f : g_folds) {
-      f = Fold{};
-    }
+    std::fill(g_folds, g_folds + kMaxFolds, Fold{});
   }
   for (HeldSlot& slot : g_held) {
     FlagGuard g(slot.busy);
     slot.n = 0;
+    std::fill(slot.folds, slot.folds + kSlotFolds, Fold{});
   }
   g_inversions_total.store(0, std::memory_order_relaxed);
   g_park_while_held.store(0, std::memory_order_relaxed);

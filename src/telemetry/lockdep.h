@@ -31,6 +31,9 @@
 // The held stacks double as attribution: FoldedStacks() renders
 // "class@site;class@site weight" lines (weight = accumulated hold or wait
 // nanoseconds) that flamegraph.pl turns into a who-holds-what flame graph.
+// Each held slot accumulates the chains its contexts release, so a release
+// whose chain the slot has seen before writes no shared cache line; only a
+// slot with all kSlotFolds records taken spills into one global table.
 //
 // Design rules shared with the rest of src/telemetry/:
 //  * Every cell is a plain std::atomic / std::atomic_flag (never P::Atomic),
@@ -38,6 +41,10 @@
 //    and schedules identically with lockdep on or off.
 //  * One relaxed flag load per hook when disabled; compiling with
 //    -DCNA_LOCKDEP=0 turns every hook into an empty inline.
+//  * Hooks read no clock: OnAcquired/OnReleased take the caller's stamp of
+//    the lock edge, so a table reads P::NowNs() once per edge for every sink
+//    (under the simulator, folds weigh simulated ns like the table
+//    histograms).
 //  * Internal guards are straight-line TAS spins never held across a yield
 //    point, so they are fiber-safe under the simulator.
 #ifndef CNA_TELEMETRY_LOCKDEP_H_
@@ -68,6 +75,7 @@ inline constexpr int kHeldSlots = 256; // held-stack slots, by ctx modulo
 inline constexpr int kMaxInversions = 16;
 inline constexpr int kMaxParkReports = 8;
 inline constexpr int kMaxFolds = 512;
+inline constexpr int kSlotFolds = 8;  // folded chains kept per held slot
 
 inline constexpr bool kCompiledIn = CNA_LOCKDEP != 0;
 
@@ -110,8 +118,9 @@ const char* SiteName(int site);
 namespace internal {
 void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
                     bool trylock, bool shared, bool nested,
-                    std::uint64_t wait_ns);
-void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance);
+                    std::uint64_t wait_ns, std::uint64_t now_ns);
+void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance,
+                    std::uint64_t now_ns);
 void OnBlockingWaitImpl(int ctx, int cls, int site);
 void OnParkImpl(int ctx);
 }  // namespace internal
@@ -119,18 +128,22 @@ void OnParkImpl(int ctx);
 // The four hooks instrumented code calls.  `ctx` is the dense execution
 // context id (P::CpuId(); telemetry::SelfShard() for non-platform callers);
 // `nested` marks multi-key (MultiGuard) acquisitions, which opt into the
-// same-class ascending-instance check.
+// same-class ascending-instance check.  `now_ns` is the caller's clock
+// stamp of the edge (P::NowNs(); telemetry::NowNs() for non-platform
+// callers): a hold weighs release stamp minus acquire stamp.  Callers read
+// the clock only under Enabled().
 inline void OnAcquired(int ctx, int cls, int site, std::uintptr_t instance,
                        bool trylock, bool shared, bool nested,
-                       std::uint64_t wait_ns) {
+                       std::uint64_t wait_ns, std::uint64_t now_ns) {
   if (Enabled()) {
     internal::OnAcquiredImpl(ctx, cls, site, instance, trylock, shared,
-                             nested, wait_ns);
+                             nested, wait_ns, now_ns);
   }
 }
-inline void OnReleased(int ctx, int cls, std::uintptr_t instance) {
+inline void OnReleased(int ctx, int cls, std::uintptr_t instance,
+                       std::uint64_t now_ns) {
   if (Enabled()) {
-    internal::OnReleasedImpl(ctx, cls, instance);
+    internal::OnReleasedImpl(ctx, cls, instance, now_ns);
   }
 }
 // Records held-class -> `cls` edges for a wait that is not a lock hold (the
@@ -163,7 +176,8 @@ std::string ReportText();
 // dashed red with an "inversion" label.
 std::string ReportDot();
 // flamegraph.pl-compatible folded stacks: "cls@site;cls@site weight" lines,
-// weighted by accumulated hold ns (or wait ns).
+// weighted by accumulated hold ns (or wait ns); one line per chain, summed
+// over every context.
 std::string FoldedStacks(bool weight_by_wait = false);
 
 // Clears the graph, witnesses, folds, counters, and held stacks; interned
@@ -179,8 +193,8 @@ inline int InternSite(std::string_view) { return -1; }
 inline const char* ClassName(int) { return "?"; }
 inline const char* SiteName(int) { return "?"; }
 inline void OnAcquired(int, int, int, std::uintptr_t, bool, bool, bool,
-                       std::uint64_t) {}
-inline void OnReleased(int, int, std::uintptr_t) {}
+                       std::uint64_t, std::uint64_t) {}
+inline void OnReleased(int, int, std::uintptr_t, std::uint64_t) {}
 inline void OnBlockingWait(int, int, int) {}
 inline void OnPark(int) {}
 inline std::uint64_t InversionCount() { return 0; }

@@ -138,7 +138,10 @@ inline std::uint64_t BucketLowerBound(int bucket) {
 
 // Mergeable point-in-time view of a histogram.  Subtraction gives the delta
 // between two snapshots of the same histogram (benches bracket measured
-// regions with it).
+// regions with it).  `count` is always the bucket total, so percentiles
+// never walk past the last bucket.  `sum` is a separate cell: a snapshot
+// taken while values are being recorded can disagree with its buckets by
+// the records in flight, so Mean() is approximate then.
 struct HistogramSnapshot {
   std::array<std::uint64_t, kHistBuckets> buckets{};
   std::uint64_t count = 0;
@@ -214,7 +217,6 @@ class Histogram {
     Shard& cell = cells_[CellIndex(socket, shard)];
     cell.buckets[static_cast<std::size_t>(BucketOf(value))].fetch_add(
         1, std::memory_order_relaxed);
-    cell.count.fetch_add(1, std::memory_order_relaxed);
     cell.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
@@ -233,11 +235,12 @@ class Histogram {
     for (int sub = 0; sub < kHistSubShards; ++sub) {
       const Shard& cell = cells_[base + static_cast<std::size_t>(sub)];
       for (int i = 0; i < kHistBuckets; ++i) {
-        out.buckets[static_cast<std::size_t>(i)] +=
+        const std::uint64_t n =
             cell.buckets[static_cast<std::size_t>(i)].load(
                 std::memory_order_relaxed);
+        out.buckets[static_cast<std::size_t>(i)] += n;
+        out.count += n;
       }
-      out.count += cell.count.load(std::memory_order_relaxed);
       out.sum += cell.sum.load(std::memory_order_relaxed);
     }
     return out;
@@ -248,7 +251,6 @@ class Histogram {
       for (auto& b : cell.buckets) {
         b.store(0, std::memory_order_relaxed);
       }
-      cell.count.store(0, std::memory_order_relaxed);
       cell.sum.store(0, std::memory_order_relaxed);
     }
   }
@@ -256,7 +258,6 @@ class Histogram {
  private:
   struct alignas(64) Shard {
     std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
   };
 

@@ -1,11 +1,15 @@
 // Lockdep stress with real threads: the TSan leg runs this to prove the
-// tracker's side tables (held slots, interning, the class graph, the fold
-// table) are race-free under concurrent acquisition, release, inversion
-// reporting, and report rendering.
+// tracker's side tables (held slots and their folds, interning, the class
+// graph, the global fold table) are race-free under concurrent acquisition,
+// release, inversion reporting, and report rendering.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +150,87 @@ TEST_F(LockdepStressTest, ReportingRacesAcquisitionsCleanly) {
   stop.store(true, std::memory_order_release);
   reporter.join();
   EXPECT_EQ(lockdep::InversionCount(), 0u);
+}
+
+// Chain signature -> number of folded lines naming it.
+std::map<std::string, int> FoldedLinesBySignature(const std::string& folded) {
+  std::map<std::string, int> lines;
+  std::istringstream in(folded);
+  for (std::string line; std::getline(in, line);) {
+    ++lines[line.substr(0, line.rfind(' '))];
+  }
+  return lines;
+}
+
+// Folds accumulate in each releasing context's held slot and spill into the
+// global table only when the slot's records are full; FoldedStacks() merges
+// both, one line per chain signature, while the workers keep releasing.
+TEST_F(LockdepStressTest, PerContextFoldsMergeOneLinePerChain) {
+  RealTable a({.stripes = 32, .metrics_name = "foldA"});
+  RealTable b({.stripes = 32, .metrics_name = "foldB"});
+  // More single-stripe chains than one slot holds, all from one thread.
+  constexpr int kSpill = lockdep::kSlotFolds + 4;
+  std::vector<std::unique_ptr<RealTable>> spill;
+  std::set<std::string> expected = {
+      "foldA/stripe@LockTable::LockStripe",
+      "foldA/stripe@LockTable::LockStripe;foldB/stripe@LockTable::LockStripe"};
+  for (int k = 0; k < kSpill; ++k) {
+    const std::string name = "foldSpill" + std::to_string(k);
+    spill.push_back(std::make_unique<RealTable>(locktable::LockTableOptions{
+        .stripes = 1, .metrics_name = name.c_str()}));
+    expected.insert(name + "/stripe@LockTable::LockStripe");
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> duplicated{0};
+  std::thread reporter([&stop, &duplicated] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const auto& [chain, n] :
+           FoldedLinesBySignature(lockdep::FoldedStacks())) {
+        duplicated.fetch_add(n > 1 ? 1 : 0, std::memory_order_relaxed);
+      }
+    }
+  });
+
+  constexpr int kThreads = 6;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&a, &b, &spill, t] {
+      for (int i = 0; i < 300; ++i) {
+        const std::uint64_t key = static_cast<std::uint64_t>(t * 101 + i);
+        a.Lock(key);
+        a.Unlock(key);
+        a.Lock(key);
+        b.Lock(key);
+        b.Unlock(key);
+        a.Unlock(key);
+        if (t == 0) {
+          RealTable& table = *spill[static_cast<std::size_t>(i % kSpill)];
+          table.LockStripe(0);
+          table.UnlockStripe(0);
+        }
+      }
+    });
+  }
+  for (auto& th : workers) {
+    th.join();
+  }
+  stop.store(true, std::memory_order_release);
+  reporter.join();
+
+  EXPECT_EQ(duplicated.load(), 0);
+  const std::string folded = lockdep::FoldedStacks();
+  std::set<std::string> chains;
+  for (const auto& [chain, n] : FoldedLinesBySignature(folded)) {
+    EXPECT_EQ(n, 1) << chain;
+    chains.insert(chain);
+  }
+  EXPECT_EQ(chains, expected) << folded;
+  EXPECT_EQ(lockdep::GetCounts().fold_drops, 0u);
+
+  lockdep::Reset();
+  EXPECT_EQ(lockdep::FoldedStacks(), "");
 }
 
 }  // namespace

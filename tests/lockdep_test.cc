@@ -210,21 +210,21 @@ TEST_F(LockdepTest, NestedDescendingInstanceTripsSameClassCheck) {
   const int ctx = 200;
   // Ascending nested instances: fine.
   lockdep::OnAcquired(ctx, cls, site, 0x1000, false, false, /*nested=*/true,
-                      0);
+                      0, /*now_ns=*/0);
   lockdep::OnAcquired(ctx, cls, site, 0x2000, false, false, /*nested=*/true,
-                      0);
+                      0, /*now_ns=*/0);
   EXPECT_EQ(lockdep::InversionCount(), 0u);
-  lockdep::OnReleased(ctx, cls, 0x2000);
-  lockdep::OnReleased(ctx, cls, 0x1000);
+  lockdep::OnReleased(ctx, cls, 0x2000, /*now_ns=*/0);
+  lockdep::OnReleased(ctx, cls, 0x1000, /*now_ns=*/0);
 
   // Descending nested instances: the multi-key invariant is violated.
   lockdep::OnAcquired(ctx, cls, site, 0x2000, false, false, /*nested=*/true,
-                      0);
+                      0, /*now_ns=*/0);
   lockdep::OnAcquired(ctx, cls, site, 0x1000, false, false, /*nested=*/true,
-                      0);
+                      0, /*now_ns=*/0);
   EXPECT_EQ(lockdep::InversionCount(), 1u);
-  lockdep::OnReleased(ctx, cls, 0x1000);
-  lockdep::OnReleased(ctx, cls, 0x2000);
+  lockdep::OnReleased(ctx, cls, 0x1000, /*now_ns=*/0);
+  lockdep::OnReleased(ctx, cls, 0x2000, /*now_ns=*/0);
 
   const std::string report = lockdep::ReportText();
   EXPECT_NE(report.find("same-class order violation"), std::string::npos)
@@ -238,12 +238,12 @@ TEST_F(LockdepTest, NonNestedSameClassNestingIsNotFlagged) {
   const int site = lockdep::InternSite("Test::Migrate");
   const int ctx = 201;
   lockdep::OnAcquired(ctx, cls, site, 0x2000, false, false, /*nested=*/false,
-                      0);
+                      0, /*now_ns=*/0);
   lockdep::OnAcquired(ctx, cls, site, 0x1000, false, false, /*nested=*/false,
-                      0);
+                      0, /*now_ns=*/0);
   EXPECT_EQ(lockdep::InversionCount(), 0u);
-  lockdep::OnReleased(ctx, cls, 0x1000);
-  lockdep::OnReleased(ctx, cls, 0x2000);
+  lockdep::OnReleased(ctx, cls, 0x1000, /*now_ns=*/0);
+  lockdep::OnReleased(ctx, cls, 0x2000, /*now_ns=*/0);
 }
 
 // Contexts whose ids are congruent modulo kHeldSlots share a held-stack
@@ -408,6 +408,35 @@ TEST_F(LockdepTest, SimSeededInversionTripsMachineGate) {
         << e.what();
   }
   EXPECT_EQ(lockdep::InversionCount(), 1u);
+}
+
+// A table reads P::NowNs() once per lock edge for every sink, so under the
+// simulator lockdep's folds weigh the same simulated hold time as the
+// table's hold histogram: 8 fibers x 50 holds x 1'000 simulated ns, with no
+// host time in either.
+TEST_F(LockdepTest, SimTableFoldsWeighSimulatedHoldTime) {
+  auto& hold =
+      telemetry::Registry::Global().GetHistogram("simfold.hold_ns");
+  const telemetry::HistogramSnapshot hold_before = hold.Snapshot();
+  SimTable table(
+      {.stripes = 4, .collect_latency = true, .metrics_name = "simfold"});
+  telemetry::SetEnabled(true);
+  sim::Machine m(sim::MachineConfig::TwoSocket());
+  for (int f = 0; f < 8; ++f) {
+    m.Spawn([&table, f] {
+      for (int i = 0; i < 50; ++i) {
+        table.LockStripe(static_cast<std::size_t>(f + i) % 4);
+        sim::Machine::Active()->AdvanceLocalWork(1'000);
+        table.UnlockStripe(static_cast<std::size_t>(f + i) % 4);
+      }
+    });
+  }
+  m.Run();
+  telemetry::SetEnabled(false);
+
+  EXPECT_EQ((hold.Snapshot() - hold_before).sum, 400'000u);
+  EXPECT_EQ(lockdep::FoldedStacks(),
+            "simfold/stripe@LockTable::LockStripe 400000\n");
 }
 
 // Determinism: lockdep state lives entirely in plain std::atomic side

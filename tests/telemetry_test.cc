@@ -6,6 +6,7 @@
 // exporter output validated by a miniature JSON parser.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <string>
@@ -466,6 +467,39 @@ TEST(TelemetryConcurrency, RealThreadsRecordExactCounts) {
   EXPECT_EQ(h.Snapshot().count,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(c.Value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// Snapshots taken while another thread records are self-consistent: a
+// snapshot's count is its bucket total, so Percentile(1.0) stays in the
+// recorded value's bucket instead of walking past the last bucket.
+TEST(TelemetryConcurrency, SnapshotsWhileRecordingCountTheirBuckets) {
+  telemetry::Histogram h;
+  constexpr std::uint64_t kValue = 100;
+  constexpr int kSnapshots = 100'000;
+  std::atomic<bool> stop{false};
+  std::thread recorder([&h, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      h.RecordAt(0, 0, kValue);
+    }
+  });
+  while (h.Snapshot().count == 0) {
+    std::this_thread::yield();
+  }
+  int torn = 0;
+  for (int i = 0; i < kSnapshots; ++i) {
+    const telemetry::HistogramSnapshot snap = h.Snapshot();
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : snap.buckets) {
+      total += n;
+    }
+    if (snap.count != total ||
+        BucketOf(snap.Percentile(1.0)) != BucketOf(kValue)) {
+      ++torn;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  recorder.join();
+  EXPECT_EQ(torn, 0) << "of " << kSnapshots << " snapshots";
 }
 
 // Concurrent recording under the simulator: fibers share one OS thread, so
