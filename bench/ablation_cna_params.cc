@@ -32,6 +32,8 @@ struct CounterConfig : locks::CnaDefaultConfig {
 
 struct StatsBaseConfig : locks::CnaDefaultConfig {
   static constexpr bool kCollectStats = true;
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
 };
 struct StatsOptConfig : StatsBaseConfig {
   static constexpr bool kShuffleReduction = true;

@@ -29,16 +29,17 @@
 
 namespace cna::bench {
 
+// "CNA" is the paper's base policy.  "CNA-opt" is the library default at
+// the same fairness scaling: Section 6's shuffle reduction, as the FIFO
+// handover mode of locks/cna.h, and socket-tagged successors.
 struct BenchCnaConfig : locks::CnaDefaultConfig {
   static constexpr std::uint64_t kKeepLocalMask = 0xff;
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
 };
 struct BenchCnaOptConfig : BenchCnaConfig {
   static constexpr bool kShuffleReduction = true;
-  // The paper pairs THRESHOLD2=0xff with THRESHOLD=0xffff (ratio 1/256).
-  // Our windows scale THRESHOLD down 64x, so THRESHOLD2 scales with it --
-  // otherwise the post-flush FIFO stretch (expected THRESHOLD2 handovers)
-  // would consume a disproportionate share of each local stint.
-  static constexpr std::uint64_t kShuffleMask = 0x1;
+  static constexpr bool kEncodeSocketInNext = true;
 };
 struct BenchCohortConfig : locks::CohortDefaultConfig {
   static constexpr std::uint32_t kLocalPassBudget = 256;

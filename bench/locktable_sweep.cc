@@ -2,9 +2,9 @@
 // machine.
 //
 // The futex-style lock namespace (src/locktable/) is swept over stripe
-// counts {1, 16, 1024, 1M} for one-word lock kinds {mcs, cna, cna-opt}, all
-// serving the same sharded-KV workload (apps/sharded_kv.h).  Three tables
-// come out:
+// counts {1, 16, 1024, 1M} for one-word locks {MCS, CNA (the paper's base
+// policy), CNA-opt (the library default)}, all serving the same sharded-KV
+// workload (apps/sharded_kv.h).  Three tables come out:
 //   * throughput (ops/us)      -- 1 stripe reproduces the global-lock regime
 //     where CNA's NUMA-awareness pays; 1M stripes approaches lock-per-object
 //     where every kind is uncontended and the lock *footprint* is what
@@ -14,6 +14,11 @@
 //     in the compact layout, the 1M-stripe namespace costs exactly 8 MiB
 //     (a cohort/HMCS namespace of the same size would be O(sockets) cache
 //     lines per stripe -- gigabytes).
+//
+// A regime pass then fixes the fiber count (32 fibers on the 2-socket
+// machine, 64 on the 4-socket one) and sweeps the stripes from 1 (every
+// fiber in one queue) to 64 (one or two waiters per queue): the light end is
+// where base CNA's queue walks cost more than they save.
 //
 // A final stats pass re-runs the 16-stripe CNA point with the per-stripe
 // occupancy/contention counters enabled (table_stats.h).
@@ -54,15 +59,47 @@ apps::ShardedKvOptions SweepOptions(std::size_t stripes) {
 
 template <typename L>
 harness::RunResult RunPoint(int threads, std::uint64_t window_ns,
-                            std::size_t stripes) {
+                            std::size_t stripes,
+                            const sim::MachineConfig& machine =
+                                sim::MachineConfig::TwoSocket()) {
   auto kv = std::make_shared<apps::ShardedKv<SimPlatform, L>>(
       SweepOptions(stripes));
-  return harness::RunOnSim(
-      sim::MachineConfig::TwoSocket(), threads, window_ns, [kv](int t) {
-        XorShift64 rng =
-            XorShift64::FromSeed(0x10cc + static_cast<std::uint64_t>(t));
-        return [kv, rng]() mutable { kv->MixedOp(rng); };
-      });
+  return harness::RunOnSim(machine, threads, window_ns, [kv](int t) {
+    XorShift64 rng =
+        XorShift64::FromSeed(0x10cc + static_cast<std::uint64_t>(t));
+    return [kv, rng]() mutable { kv->MixedOp(rng); };
+  });
+}
+
+void RegimePass(std::uint64_t window_ns) {
+  struct Machine {
+    const char* name;
+    sim::MachineConfig config;
+    int fibers;
+    std::vector<std::size_t> stripes;
+  };
+  const Machine machines[] = {
+      {"2-socket", sim::MachineConfig::TwoSocket(), 32, {1, 2, 4, 8, 16, 64}},
+      {"4-socket", sim::MachineConfig::FourSocket(), 64, {1, 4, 16}},
+  };
+  for (const Machine& m : machines) {
+    harness::SeriesTable table(
+        std::string("Lock-table sweep: contention regimes, throughput "
+                    "(ops/us) vs stripes, sharded KV, ") +
+            std::to_string(m.fibers) + " fibers, " + m.name,
+        "stripes", {"MCS", "CNA", "CNA-opt"});
+    for (std::size_t stripes : m.stripes) {
+      table.AddRow(
+          static_cast<double>(stripes),
+          {RunPoint<Mcs>(m.fibers, window_ns, stripes, m.config)
+               .throughput_mops,
+           RunPoint<Cna>(m.fibers, window_ns, stripes, m.config)
+               .throughput_mops,
+           RunPoint<CnaOpt>(m.fibers, window_ns, stripes, m.config)
+               .throughput_mops});
+    }
+    table.Emit();
+  }
 }
 
 template <typename L>
@@ -228,6 +265,7 @@ int main() {
       "per stripe -- the paper's compactness claim at namespace scale)\n",
       million_bytes, static_cast<double>(million_bytes) / (1 << 20));
 
+  RegimePass(window);
   LatencyPass(threads, window);
   RateCurvePass(threads, window);
   StatsPass(threads, window);

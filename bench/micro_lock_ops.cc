@@ -23,6 +23,13 @@ namespace {
 
 using namespace cna;
 
+// The paper's base CNA, next to the library default (FIFO handover mode and
+// socket-tagged successors): the uncontended path must cost the same.
+struct PaperBaseCnaConfig : locks::CnaDefaultConfig {
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
+};
+
 template <typename L>
 void BM_UncontendedLockUnlock(benchmark::State& state) {
   L lock;
@@ -36,9 +43,8 @@ void BM_UncontendedLockUnlock(benchmark::State& state) {
 
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::McsLock<RealPlatform>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::CnaLock<RealPlatform>);
-BENCHMARK_TEMPLATE(
-    BM_UncontendedLockUnlock,
-    locks::CnaLock<RealPlatform, locks::CnaShuffleReductionConfig>);
+BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock,
+                   locks::CnaLock<RealPlatform, PaperBaseCnaConfig>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::TasLock<RealPlatform>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::TtasLock<RealPlatform>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::TicketLock<RealPlatform>);

@@ -7,7 +7,6 @@ namespace cna::core {
 const std::vector<LockKind>& AllLockKinds() {
   static const std::vector<LockKind> kinds = {
       LockKind::kMcs,        LockKind::kCna,
-      LockKind::kCnaOpt,     LockKind::kCnaTagged,
       LockKind::kTas,
       LockKind::kTtas,       LockKind::kBackoffTas,
       LockKind::kTicket,     LockKind::kPartitionedTicket,
@@ -25,8 +24,6 @@ std::string_view LockKindName(LockKind kind) {
   switch (kind) {
     case LockKind::kMcs: return "mcs";
     case LockKind::kCna: return "cna";
-    case LockKind::kCnaOpt: return "cna-opt";
-    case LockKind::kCnaTagged: return "cna-tag";
     case LockKind::kTas: return "tas";
     case LockKind::kTtas: return "ttas";
     case LockKind::kBackoffTas: return "tas-backoff";
@@ -53,10 +50,6 @@ std::string_view LockKindDescription(LockKind kind) {
       return "MCS queue lock (Mellor-Crummey & Scott 1991), NUMA-oblivious";
     case LockKind::kCna:
       return "Compact NUMA-aware lock (Dice & Kogan, EuroSys 2019)";
-    case LockKind::kCnaOpt:
-      return "CNA with shuffle-reduction optimization (Section 6)";
-    case LockKind::kCnaTagged:
-      return "CNA with socket encoded in next pointers (Section 6)";
     case LockKind::kTas:
       return "test-and-set spin lock, global spinning";
     case LockKind::kTtas:
@@ -105,8 +98,6 @@ std::optional<LockKind> LockKindFromName(std::string_view name) {
 bool IsNumaAware(LockKind kind) {
   switch (kind) {
     case LockKind::kCna:
-    case LockKind::kCnaOpt:
-    case LockKind::kCnaTagged:
     case LockKind::kHbo:
     case LockKind::kCBoMcs:
     case LockKind::kCTktTkt:

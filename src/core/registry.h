@@ -2,7 +2,7 @@
 //
 // Mirrors how the paper's evaluation selects locks through LiTL's
 // LD_PRELOAD interposition -- here a factory keyed by name ("mcs", "cna",
-// "cna-opt", "c-bo-mcs", "hmcs", ...) over either platform.
+// "c-bo-mcs", "hmcs", ...) over either platform.
 #ifndef CNA_CORE_REGISTRY_H_
 #define CNA_CORE_REGISTRY_H_
 
@@ -38,8 +38,6 @@ namespace cna::core {
 enum class LockKind {
   kMcs,
   kCna,
-  kCnaOpt,     // CNA with the Section 6 shuffle-reduction optimization
-  kCnaTagged,  // CNA with the Section 6 socket-in-next-pointer encoding
   kTas,
   kTtas,
   kBackoffTas,
@@ -82,10 +80,6 @@ decltype(auto) WithLockType(LockKind kind, F&& f) {
       return f(std::type_identity<McsLock<P>>{});
     case LockKind::kCna:
       return f(std::type_identity<CnaLock<P>>{});
-    case LockKind::kCnaOpt:
-      return f(std::type_identity<CnaLock<P, CnaShuffleReductionConfig>>{});
-    case LockKind::kCnaTagged:
-      return f(std::type_identity<CnaLock<P, CnaSocketInNextConfig>>{});
     case LockKind::kTas:
       return f(std::type_identity<TasLock<P>>{});
     case LockKind::kTtas:

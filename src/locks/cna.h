@@ -22,6 +22,22 @@
 // starve.  The secondary queue is also flushed when no same-socket successor
 // exists (Figure 1(g)).
 //
+// Handover mode (Section 6's shuffle reduction, made adaptive).  While the
+// secondary queue is empty the lock is in one of two modes, carried in the
+// grant value written into the successor's `spin` and, while the lock is
+// free, in the lock word itself:
+//   * NUMA mode (grant 1, free word nullptr -- the paper's values, and the
+//     zero-initialized lock): every release runs find_successor();
+//   * FIFO mode (grant 2, free word 2): a release is an MCS handover, and
+//     with probability 1/(kShuffleMask+1) a NUMA-mode release instead.
+// Only a NUMA-mode walk that meets exactly one waiter, on another socket,
+// drops to FIFO mode: there is nothing to reorder.  Every other NUMA-mode
+// release, and every secondary-queue flush, hands over in NUMA mode.  So a
+// lightly contended lock stays in FIFO mode across busy periods, and a lock
+// whose queue always holds two or more waiters stays in NUMA mode.
+// kShuffleReduction = false never enters FIFO mode: the paper's base CNA
+// exactly.
+//
 // Configuration is a compile-time policy so that the lock object itself stays
 // exactly one word -- asserting the paper's headline space claim in the type
 // system.
@@ -39,17 +55,19 @@
 
 namespace cna::locks {
 
-// Default configuration: the paper's constants.
+// Default configuration: the paper's constants, with both Section 6
+// optimizations below switched on.  The paper's base CNA sets
+// kShuffleReduction and kEncodeSocketInNext to false.
 struct CnaDefaultConfig {
   // THRESHOLD (Figure 5): keep_lock_local() == rand & mask; the secondary
   // queue is flushed with probability 1/65536 per handover.
   static constexpr std::uint64_t kKeepLocalMask = 0xffff;
-  // Section 6 "shuffle reduction": when the secondary queue is empty, skip
-  // find_successor() with probability shuffle_mask/(shuffle_mask+1) and hand
-  // the lock to the immediate successor.  Off by default, as in the paper's
-  // base CNA; the "CNA (opt)" curves enable it.
-  static constexpr bool kShuffleReduction = false;
-  // THRESHOLD2 (Section 6): the paper's experiments use 0xff.
+  // Section 6 "shuffle reduction", as the FIFO handover mode described at
+  // the top of this file: under light contention the queue shuffling is not
+  // repaid by locality (Figure 9's "CNA (opt)").
+  static constexpr bool kShuffleReduction = true;
+  // THRESHOLD2 (Section 6): the paper's experiments use 0xff.  A FIFO-mode
+  // release probes with a NUMA-mode release with probability 1/(mask+1).
   static constexpr std::uint64_t kShuffleMask = 0xff;
   // Section 6, last optimization: draw the random number once, store it in a
   // thread-local counter and decrement per handover instead of drawing per
@@ -59,7 +77,7 @@ struct CnaDefaultConfig {
   // next pointer of its predecessor" -- queue nodes are cache-line aligned,
   // so the low 6 pointer bits carry socket+1 and find_successor() can skip
   // the cache miss on the successor's node when deciding locality.
-  static constexpr bool kEncodeSocketInNext = false;
+  static constexpr bool kEncodeSocketInNext = true;
   // Update locks::GlobalCnaCounters() on every release (Section 7.1.1's
   // queue-alteration statistics).  Off by default: zero instrumentation.
   static constexpr bool kCollectStats = false;
@@ -68,16 +86,6 @@ struct CnaDefaultConfig {
   // default build compiles no telemetry code into the lock at all, and the
   // lock stays exactly one word either way (the guard test asserts it).
   static constexpr bool kTelemetry = false;
-};
-
-// "CNA (opt)" of Section 7.1.1: shuffle reduction enabled.
-struct CnaShuffleReductionConfig : CnaDefaultConfig {
-  static constexpr bool kShuffleReduction = true;
-};
-
-// Section 6's pointer-tagging optimization enabled.
-struct CnaSocketInNextConfig : CnaDefaultConfig {
-  static constexpr bool kEncodeSocketInNext = true;
 };
 
 // Fully observable build: Section 7.1.1 counters plus wait-time histograms
@@ -96,8 +104,10 @@ class CnaLock {
   // fields relative to MCS are the point the paper makes about node space
   // being "almost never a practical concern").
   struct alignas(kCacheLineSize) Handle {
-    // 0 = waiting; 1 = lock granted, secondary queue empty; any other value =
-    // lock granted, value is the secondary queue head (a Handle*).
+    // 0 = waiting; 1 = lock granted in NUMA mode, secondary queue empty;
+    // 2 = lock granted in FIFO mode (secondary queue empty); any other value
+    // = lock granted, value is the secondary queue head (a 64-aligned
+    // Handle*, so always > 2).
     typename P::template Atomic<std::uintptr_t> spin{0};
     typename P::template Atomic<int> socket{-1};
     typename P::template Atomic<Handle*> sec_tail{nullptr};
@@ -113,18 +123,21 @@ class CnaLock {
 
   // Figure 3.  Identical to MCS except: the socket id is recorded (only on
   // contention, so the uncontended path pays nothing for NUMA-awareness), and
-  // an uncontended acquire sets spin to 1 so unlock always passes a non-zero
-  // value to the successor.
+  // an uncontended acquire sets spin to the grant of the mode the free word
+  // carried (1 in NUMA mode, as in the paper), so unlock always passes a
+  // non-zero value to the successor.
   void Lock(Handle& me) {
     me.next.store(nullptr, std::memory_order_relaxed);
     me.socket.store(-1, std::memory_order_relaxed);
     me.spin.store(0, std::memory_order_relaxed);
 
-    Handle* tail = tail_.exchange(&me, std::memory_order_acq_rel);
-    if (tail == nullptr) {
-      me.spin.store(1, std::memory_order_relaxed);
+    const std::uintptr_t prev =
+        tail_.exchange(Word(&me), std::memory_order_acq_rel);
+    if (IsFree(prev)) {
+      me.spin.store(GrantOf(prev), std::memory_order_relaxed);
       return;
     }
+    Handle* tail = reinterpret_cast<Handle*>(prev);
     const int my_socket = P::CurrentSocket();
     me.socket.store(my_socket, std::memory_order_relaxed);
     tail->next.store(Tagged(&me, my_socket), std::memory_order_release);
@@ -146,32 +159,41 @@ class CnaLock {
     }
   }
 
-  bool TryLock(Handle& me) {
+  // Loads the word first and CASes only a free one, so a failed try on a held
+  // lock does not write the lock line.  Out of line: it serves try-lock
+  // calls, the tables' stats probe and park revalidation, not the plain
+  // acquisition path, so it should not take inlining budget from the code
+  // around Lock/Unlock.
+  [[gnu::noinline]] bool TryLock(Handle& me) {
+    std::uintptr_t word = tail_.load(std::memory_order_relaxed);
+    if (!IsFree(word)) {
+      return false;
+    }
     me.next.store(nullptr, std::memory_order_relaxed);
     me.socket.store(-1, std::memory_order_relaxed);
     me.spin.store(0, std::memory_order_relaxed);
-    Handle* expected = nullptr;
-    if (tail_.compare_exchange_strong(expected, &me,
-                                      std::memory_order_acq_rel)) {
-      me.spin.store(1, std::memory_order_relaxed);
-      return true;
+    if (!tail_.compare_exchange_strong(word, Word(&me),
+                                       std::memory_order_acq_rel)) {
+      return false;
     }
-    return false;
+    me.spin.store(GrantOf(word), std::memory_order_relaxed);
+    return true;
   }
 
-  // Figure 4, with the Section 6 shuffle-reduction block between the
-  // no-successor handling and the successor selection.  me.spin is loaded
-  // once into `spin` and kept in sync (a real implementation keeps it in a
-  // register; the simulator would otherwise charge every re-read).
+  // Figure 4, with the FIFO-mode block between the no-successor handling
+  // and the successor selection.  me.spin is loaded once into `spin` and kept
+  // in sync (a real implementation keeps it in a register; the simulator
+  // would otherwise charge every re-read).
   void Unlock(Handle& me) {
     Handle* next_raw = me.next.load(std::memory_order_acquire);
     std::uintptr_t spin = me.spin.load(std::memory_order_relaxed);
     if (Ptr(next_raw) == nullptr) {
       // No successor visible in the main queue.
-      if (spin == 1) {
-        // Secondary queue empty too: try to return the lock to "free".
-        Handle* expected = &me;
-        if (tail_.compare_exchange_strong(expected, nullptr,
+      if (spin <= kGrantFifo) {
+        // Secondary queue empty too: try to return the lock to "free",
+        // keeping its mode.
+        std::uintptr_t expected = Word(&me);
+        if (tail_.compare_exchange_strong(expected, FreeWordOf(spin),
                                           std::memory_order_acq_rel)) {
           CountRelease();
           return;
@@ -181,11 +203,12 @@ class CnaLock {
         // queue the new main queue (its tail becomes the lock tail) and pass
         // the lock to its head.
         Handle* sec_head = reinterpret_cast<Handle*>(spin);
-        Handle* expected = &me;
+        std::uintptr_t expected = Word(&me);
         if (tail_.compare_exchange_strong(
-                expected, sec_head->sec_tail.load(std::memory_order_relaxed),
+                expected,
+                Word(sec_head->sec_tail.load(std::memory_order_relaxed)),
                 std::memory_order_acq_rel)) {
-          sec_head->spin.store(1, std::memory_order_release);
+          sec_head->spin.store(kGrantNuma, std::memory_order_release);
           CountRelease();
           CountFlush();
           TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
@@ -201,20 +224,22 @@ class CnaLock {
     }
 
     if constexpr (Cfg::kShuffleReduction) {
-      // With an empty secondary queue, usually skip the queue reshuffling and
-      // hand over FIFO -- under light contention the shuffling cost is not
-      // repaid by locality (Section 6 / Figure 9's "CNA (opt)").
-      if (spin == 1 && (P::Random() & Cfg::kShuffleMask) != 0) {
-        Ptr(next_raw)->spin.store(1, std::memory_order_release);
-        CountRelease();
-        if constexpr (Cfg::kCollectStats) {
-          GlobalCnaCounters().shuffle_skips.fetch_add(
-              1, std::memory_order_relaxed);
-          GlobalCnaCounters().fifo_handovers.fetch_add(
-              1, std::memory_order_relaxed);
+      // FIFO mode: an MCS handover that keeps the mode, except that with
+      // probability 1/(kShuffleMask+1) the release probes in NUMA mode.
+      if (spin == kGrantFifo) {
+        if ((P::Random() & Cfg::kShuffleMask) != 0) {
+          Ptr(next_raw)->spin.store(kGrantFifo, std::memory_order_release);
+          CountRelease();
+          if constexpr (Cfg::kCollectStats) {
+            GlobalCnaCounters().shuffle_skips.fetch_add(
+                1, std::memory_order_relaxed);
+            GlobalCnaCounters().fifo_handovers.fetch_add(
+                1, std::memory_order_relaxed);
+          }
+          TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
+          return;
         }
-        TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
-        return;
+        spin = kGrantNuma;
       }
     }
 
@@ -222,14 +247,15 @@ class CnaLock {
     if (KeepLockLocal() &&
         (succ = FindSuccessor(me, next_raw, spin)) != nullptr) {
       // Same-socket successor found: pass the lock together with the current
-      // secondary-queue designator (1 or head pointer) -- Figure 1(b)/(d).
+      // secondary-queue designator (NUMA-mode grant or head pointer) --
+      // Figure 1(b)/(d).
       succ->spin.store(spin, std::memory_order_release);
       if constexpr (Cfg::kCollectStats) {
         GlobalCnaCounters().local_handovers.fetch_add(
             1, std::memory_order_relaxed);
       }
       TraceHandoff(telemetry::TraceEventType::kHandoffLocal);
-    } else if (spin > 1) {
+    } else if (spin > kGrantFifo) {
       // Fairness flush (or no local successor): splice the secondary queue in
       // front of our main-queue successor and hand the lock to its head --
       // Figure 1(g).  succ->sec_tail need not be cleared: the head is about
@@ -239,12 +265,14 @@ class CnaLock {
       succ = reinterpret_cast<Handle*>(spin);
       succ->sec_tail.load(std::memory_order_relaxed)
           ->next.store(next_raw, std::memory_order_relaxed);
-      succ->spin.store(1, std::memory_order_release);
+      succ->spin.store(kGrantNuma, std::memory_order_release);
       CountFlush();
       TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
     } else {
-      // Secondary queue empty: plain MCS handover.
-      Ptr(next_raw)->spin.store(1, std::memory_order_release);
+      // Secondary queue empty: plain MCS handover, in FIFO mode if
+      // find_successor() met a lone remote waiter, else in NUMA mode (this
+      // includes a keep_lock_local() fairness draw).
+      Ptr(next_raw)->spin.store(spin, std::memory_order_release);
       if constexpr (Cfg::kCollectStats) {
         GlobalCnaCounters().fifo_handovers.fetch_add(
             1, std::memory_order_relaxed);
@@ -259,6 +287,25 @@ class CnaLock {
   }
 
  private:
+  // --- Handover mode (see the top of this file). ---
+  // Grant values for an empty secondary queue.  FIFO mode's free word is its
+  // grant value; NUMA mode's free word is 0 (nullptr), as in the paper.
+  static constexpr std::uintptr_t kGrantNuma = 1;
+  static constexpr std::uintptr_t kGrantFifo = 2;
+
+  static std::uintptr_t Word(Handle* n) {
+    return reinterpret_cast<std::uintptr_t>(n);
+  }
+  // The lock word holds no node: 0 or 2, never a (64-aligned) Handle*.  The
+  // word is never socket-tagged, so this does not depend on the tagging.
+  static bool IsFree(std::uintptr_t word) { return word <= kGrantFifo; }
+  static std::uintptr_t GrantOf(std::uintptr_t free_word) {
+    return free_word == 0 ? kGrantNuma : kGrantFifo;
+  }
+  static std::uintptr_t FreeWordOf(std::uintptr_t grant) {
+    return grant & kGrantFifo;
+  }
+
   // --- Socket-in-next-pointer tagging (Section 6, first optimization). ---
   // Handles are 64-byte aligned, so the low 6 bits of a next pointer are
   // free; they carry socket+1 (0 = no tag, fall back to the socket field).
@@ -325,8 +372,10 @@ class CnaLock {
   // waiter on our socket; move everything crossed on the way into the
   // secondary queue (appending to it if it already exists).  `next_raw` is
   // the (possibly tagged) value read from me.next; `spin` is the caller's
-  // cached copy of me.spin and is updated in place when the secondary queue
-  // is created here.
+  // cached copy of me.spin (NUMA-mode grant or secondary head) and is updated
+  // in place when the secondary queue is created here, or set to the
+  // FIFO-mode grant when the walk meets one waiter, on another socket, and
+  // the secondary queue is empty: there is nothing to reorder.
   Handle* FindSuccessor(Handle& me, Handle* next_raw, std::uintptr_t& spin) {
     Handle* next = Ptr(next_raw);
     int my_socket = me.socket.load(std::memory_order_relaxed);
@@ -345,7 +394,7 @@ class CnaLock {
       Handle* cur = Ptr(cur_raw);
       if (SocketOf(cur_raw, cur) == my_socket) {
         // Move [sec_head .. sec_tail] into the secondary queue.
-        if (spin > 1) {
+        if (spin > kGrantFifo) {
           // Append segment behind the existing secondary tail (untagged:
           // secondary nodes keep their socket in the socket field).
           reinterpret_cast<Handle*>(spin)
@@ -372,7 +421,13 @@ class CnaLock {
       ++segment_len;
       cur_raw = cur->next.load(std::memory_order_acquire);
     }
-    return nullptr;  // no same-socket waiter linked in yet
+    // No same-socket waiter linked in yet.
+    if constexpr (Cfg::kShuffleReduction) {
+      if (segment_len == 1 && spin == kGrantNuma) {
+        spin = kGrantFifo;
+      }
+    }
+    return nullptr;
   }
 
   // Figure 5's keep_lock_local(), optionally with the Section 6 deferred-draw
@@ -391,7 +446,8 @@ class CnaLock {
     }
   }
 
-  typename P::template Atomic<Handle*> tail_{nullptr};
+  // Tail of the main queue while held; IsFree() values while free.
+  typename P::template Atomic<std::uintptr_t> tail_{0};
 };
 
 }  // namespace cna::locks

@@ -62,9 +62,11 @@ struct LockTableOptions {
   // words themselves stay untouched; see table_stats.h).
   bool collect_stats = false;
   // Contention sampling: stats mode detects a contended acquisition with a
-  // try-lock probe, which costs one extra RMW on the (by definition hot)
-  // lock word.  With period N > 1 only ~1/N of acquisitions probe -- chosen
-  // by the context-local PRNG, so no shared state -- and `contended` counts
+  // try-lock probe.  A probe that finds the stripe held costs one extra
+  // access to the (by definition hot) lock word: a load for CNA, whose
+  // TryLock writes only a free word, an RMW for locks whose TryLock always
+  // CASes.  With period N > 1 only ~1/N of acquisitions probe -- chosen by
+  // the context-local PRNG, so no shared state -- and `contended` counts
   // become a 1/N sample (multiply by the period to estimate the true rate;
   // the resize policy does).  1 probes every acquisition (exact counts,
   // the historical behavior).  Rounded up to a power of two.

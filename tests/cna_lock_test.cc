@@ -1,7 +1,8 @@
 // CNA-specific tests: the algorithmic invariants of Figures 2-5, the
-// secondary-queue mechanics of Figure 1, the fairness knob, and the Section 6
-// optimizations.  Most tests run on the simulator, whose deterministic
-// scheduling lets us replay the paper's running example exactly.
+// secondary-queue mechanics of Figure 1, the fairness knob, the Section 6
+// optimizations and the handover mode that carries shuffle reduction.  Most
+// tests run on the simulator, whose deterministic scheduling lets us replay
+// the paper's running example exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,12 @@ namespace cna {
 namespace {
 
 using SimCna = locks::CnaLock<SimPlatform>;
+
+// The paper's base CNA: no shuffle reduction, untagged next pointers.
+struct PaperBaseConfig : locks::CnaDefaultConfig {
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
+};
 
 sim::MachineConfig TwoSocketSmall(int cpus_per_socket = 8) {
   sim::MachineConfig cfg;
@@ -173,12 +180,6 @@ struct CounterConfig : locks::CnaDefaultConfig {
   static constexpr bool kCounterFairness = true;
 };
 
-struct AlwaysSkipConfig : locks::CnaDefaultConfig {
-  static constexpr bool kShuffleReduction = true;
-  // rand & mask is nonzero with probability 255/256: almost always skip.
-  static constexpr std::uint64_t kShuffleMask = 0xff;
-};
-
 TEST(CnaFairness, SecondaryQueueIsFlushedProbabilistically) {
   sim::Machine m(TwoSocketSmall());
   locks::CnaLock<SimPlatform, AggressiveFairnessConfig> lock;
@@ -219,20 +220,19 @@ TEST(CnaFairness, CounterModeAlsoFlushes) {
   }
 }
 
-// Shuffle reduction (Section 6): with an empty secondary queue the lock is
-// usually handed FIFO.  Observable effect: under the all-local pattern, the
-// CNA(opt) handover order equals MCS's FIFO order.
+// Shuffle reduction (Section 6, on in the default lock): under the all-local
+// pattern the handover order equals MCS's FIFO order.
 TEST(CnaShuffleReduction, MostHandoversAreFifoWhenSecondaryEmpty) {
   auto cfg = TwoSocketSmall();
   cfg.placement = sim::Placement::kPackSockets;  // all on socket 0
   sim::Machine m(cfg);
-  locks::CnaLock<SimPlatform, AlwaysSkipConfig> lock;
+  SimCna lock;
   std::vector<int> order;
   for (int t = 0; t < 6; ++t) {
     m.Spawn([&, t] {
       sim::Machine::Active()->AdvanceLocalWork(
           static_cast<std::uint64_t>(t) * 400 + 1);
-      typename locks::CnaLock<SimPlatform, AlwaysSkipConfig>::Handle h;
+      SimCna::Handle h;
       lock.Lock(h);
       if (t == 0) {
         sim::Machine::Active()->AdvanceLocalWork(200'000);
@@ -285,6 +285,29 @@ TEST(CnaAlgorithm, UnlockWaitsForLateLinkingSuccessor) {
   EXPECT_EQ(order[0] + order[1], 1);  // both ran, in some order
 }
 
+// A failed TryLock on a held lock only reads the lock word: it neither
+// swaps nor CASes, so it does not pull the holder's line away.
+TEST(CnaAlgorithm, FailedTryLockDoesNotWriteTheLockWord) {
+  sim::Machine m(TwoSocketSmall());
+  SimCna lock;
+  bool acquired = true;
+  sim::CacheStats before;
+  sim::CacheStats after;
+  m.Spawn([&] {
+    SimCna::Handle holder;
+    SimCna::Handle probe;
+    lock.Lock(holder);
+    before = sim::Machine::Active()->TotalStats();
+    acquired = lock.TryLock(probe);
+    after = sim::Machine::Active()->TotalStats();
+    lock.Unlock(holder);
+  });
+  m.Run();
+  EXPECT_FALSE(acquired);
+  EXPECT_EQ(after.rmws, before.rmws);
+  EXPECT_EQ(after.stores, before.stores);
+}
+
 // TryLock must not disturb the queue.
 TEST(CnaAlgorithm, TryLockSemantics) {
   locks::CnaLock<RealPlatform> lock;
@@ -322,7 +345,11 @@ TEST(CnaFairness, AllThreadsFinishWithDefaultThreshold) {
 
 // ---------- Section 6 socket-in-next-pointer encoding ----------
 
-using TaggedCna = locks::CnaLock<SimPlatform, locks::CnaSocketInNextConfig>;
+// Tagging alone, on top of the paper's base policy.
+struct TaggedConfig : PaperBaseConfig {
+  static constexpr bool kEncodeSocketInNext = true;
+};
+using TaggedCna = locks::CnaLock<SimPlatform, TaggedConfig>;
 
 TEST(CnaTagged, SameReorderingAsBaseCna) {
   // The tagged variant must make identical policy decisions -- replay the
@@ -375,13 +402,13 @@ TEST(CnaTagged, AvoidsSuccessorNodeTouchOnLocalityCheck) {
     return m.TotalStats().loads;
   };
   const auto tagged_loads = run(TaggedCna{});
-  const auto plain_loads = run(SimCna{});
+  const auto plain_loads = run(locks::CnaLock<SimPlatform, PaperBaseConfig>{});
   EXPECT_LT(tagged_loads, plain_loads);
 }
 
 // ---------- Section 7.1.1 queue-alteration statistics ----------
 
-struct StatsConfig : locks::CnaDefaultConfig {
+struct StatsConfig : PaperBaseConfig {
   static constexpr bool kCollectStats = true;
 };
 struct StatsOptConfig : StatsConfig {
@@ -445,6 +472,147 @@ TEST(CnaStats, ShuffleReductionCutsQueueAlterations) {
   const auto opt = run(locks::CnaLock<SimPlatform, StatsOptConfig>{});
   EXPECT_LT(opt * 2, base) << "base=" << base << " opt=" << opt;
   locks::GlobalCnaCounters().Reset();
+}
+
+// ---------- Handover mode: FIFO while there is nothing to reorder ----------
+
+// The default policy and the same policy with untagged next pointers, whose
+// free-word test must not depend on tag stripping.
+struct ModeStatsConfig : locks::CnaDefaultConfig {
+  static constexpr bool kCollectStats = true;
+};
+struct UntaggedModeStatsConfig : ModeStatsConfig {
+  static constexpr bool kEncodeSocketInNext = false;
+};
+
+template <typename Cfg>
+class CnaHandoverMode : public ::testing::Test {
+ protected:
+  using L = locks::CnaLock<SimPlatform, Cfg>;
+  void SetUp() override { locks::GlobalCnaCounters().Reset(); }
+  void TearDown() override { locks::GlobalCnaCounters().Reset(); }
+};
+using HandoverModeConfigs =
+    ::testing::Types<ModeStatsConfig, UntaggedModeStatsConfig>;
+TYPED_TEST_SUITE(CnaHandoverMode, HandoverModeConfigs);
+
+// Light contention: two fibers on different sockets alternate on one lock.
+// Every queue walk would meet a lone remote waiter, so the lock stays in
+// FIFO mode and almost no release walks the queue.
+TYPED_TEST(CnaHandoverMode, LoneRemoteWaitersKeepTheLockInFifoMode) {
+  using L = typename TestFixture::L;
+  sim::Machine m(TwoSocketSmall());
+  L lock;
+  constexpr int kRounds = 400;
+  for (int t = 0; t < 2; ++t) {  // scatter placement: sockets 0 and 1
+    m.Spawn([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        locks::ScopedLock<L> g(lock);
+        sim::Machine::Active()->AdvanceLocalWork(200);
+      }
+    });
+  }
+  m.Run();
+  const auto c = locks::SnapshotCnaCounters();
+  const std::uint64_t handovers =
+      c.local_handovers + c.secondary_flushes + c.fifo_handovers;
+  EXPECT_EQ(c.releases, 2u * kRounds);
+  EXPECT_GT(handovers, static_cast<std::uint64_t>(kRounds));  // alternated
+  EXPECT_EQ(c.queue_alterations, 0u);
+  EXPECT_GE(c.shuffle_skips * 10, handovers * 9)
+      << "skips=" << c.shuffle_skips << " handovers=" << handovers;
+}
+
+// The mode survives the lock going free: after a FIFO handover and a
+// release with no waiter, an uncontended Lock or TryLock is granted in FIFO
+// mode (a fresh lock grants 1: UncontendedSpinFieldHoldsOne).
+TYPED_TEST(CnaHandoverMode, FifoModeSurvivesTheLockGoingFree) {
+  using L = typename TestFixture::L;
+  sim::Machine m(TwoSocketSmall());
+  L lock;
+  std::uintptr_t contended_grant = 0;
+  std::uintptr_t lock_grant = 0;
+  std::uintptr_t try_grant = 0;
+  bool try_acquired = false;
+  m.Spawn([&] {  // socket 0: holds while fiber 1 queues behind it
+    typename L::Handle h;
+    lock.Lock(h);
+    sim::Machine::Active()->AdvanceLocalWork(10'000);
+    lock.Unlock(h);  // the walk meets one waiter, on socket 1
+  });
+  m.Spawn([&] {  // socket 1
+    sim::Machine::Active()->AdvanceLocalWork(1'000);
+    typename L::Handle h;
+    lock.Lock(h);
+    contended_grant = h.spin.load();
+    lock.Unlock(h);  // no waiter: free in FIFO mode
+    sim::Machine::Active()->AdvanceLocalWork(10'000);
+    lock.Lock(h);
+    lock_grant = h.spin.load();
+    lock.Unlock(h);
+    try_acquired = lock.TryLock(h);
+    try_grant = h.spin.load();
+    lock.Unlock(h);
+  });
+  m.Run();
+  EXPECT_EQ(contended_grant, 2u);
+  EXPECT_EQ(lock_grant, 2u);
+  EXPECT_TRUE(try_acquired);
+  EXPECT_EQ(try_grant, 2u);
+}
+
+// Mutual exclusion while the lock moves between modes: light phases drop it
+// into FIFO mode and leave it free in FIFO mode (acquired through Lock and
+// TryLock alike), heavy phases bring NUMA mode and its reordering back.
+TYPED_TEST(CnaHandoverMode, MutualExclusionAcrossModeChanges) {
+  using L = typename TestFixture::L;
+  sim::Machine m(TwoSocketSmall(4));
+  L lock;
+  constexpr int kThreads = 8;
+  constexpr int kIters = 300;
+  std::uint64_t counter = 0;
+  int in_cs = 0;
+  bool violation = false;
+  int fifo_lock_grants = 0;
+  int fifo_try_grants = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    m.Spawn([&] {
+      sim::Machine* machine = sim::Machine::Active();
+      for (int i = 0; i < kIters; ++i) {
+        const bool light = (i / 50) % 2 == 1;
+        const bool try_lock = light && i % 2 == 0;
+        typename L::Handle h;
+        if (try_lock) {
+          while (!lock.TryLock(h)) {
+            machine->AdvanceLocalWork(100);
+          }
+        } else {
+          lock.Lock(h);
+        }
+        if (h.spin.load() == 2) {
+          ++(try_lock ? fifo_try_grants : fifo_lock_grants);
+        }
+        if (++in_cs != 1) {
+          violation = true;
+        }
+        ++counter;
+        machine->AdvanceLocalWork(100);
+        --in_cs;
+        lock.Unlock(h);
+        if (light) {
+          machine->AdvanceLocalWork(4'000 + machine->Random() % 4'000);
+        }
+      }
+    });
+  }
+  m.Run();
+  EXPECT_FALSE(violation);
+  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_GT(fifo_lock_grants, 0);
+  EXPECT_GT(fifo_try_grants, 0);
+  const auto c = locks::SnapshotCnaCounters();
+  EXPECT_GT(c.shuffle_skips, 0u);
+  EXPECT_GT(c.queue_alterations, 0u);
 }
 
 // ---------- MCSCR (Malthusian MCS) ----------

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "apps/kv_bench.h"
+#include "apps/sharded_kv.h"
 #include "harness/runner.h"
 #include "kernel/lockstat.h"
 #include "kernel/locktorture.h"
@@ -98,6 +99,55 @@ TEST(Integration, FairnessStaysBounded) {
   const auto cna = RunKv<SimCna>(8, 3'000'000);
   EXPECT_NEAR(mcs.fairness, 0.5, 0.03);
   EXPECT_LT(cna.fairness, 0.65);
+}
+
+// Contention regimes on the sharded KV, driven as bench/locktable_sweep.cc
+// drives it (60/30/10 get/put/transfer, 50 ns sections, 64 Ki keys), with
+// 32 fibers on the 2-socket machine.  The stripe count sets the regime: one
+// stripe queues every fiber, 16 leave about two waiters per queue.
+// bench_common.h's fairness scaling (flush probability 1/256) on the
+// default policy and on the paper's base policy.
+struct SweepCnaConfig : locks::CnaDefaultConfig {
+  static constexpr std::uint64_t kKeepLocalMask = 0xff;
+};
+struct SweepPaperBaseConfig : SweepCnaConfig {
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
+};
+
+template <typename L>
+double ShardedKvOpsPerUs(std::size_t stripes) {
+  apps::ShardedKvOptions o;
+  o.key_range = 1 << 16;
+  o.lock_stripes = stripes;
+  o.get_pct = 60;
+  o.put_pct = 30;
+  o.cs_compute_ns = 50;
+  auto kv = std::make_shared<apps::ShardedKv<SimPlatform, L>>(o);
+  return harness::RunOnSim(
+             sim::MachineConfig::TwoSocket(), 32, 2'000'000,
+             [kv](int t) {
+               XorShift64 rng =
+                   XorShift64::FromSeed(0x10cc + static_cast<std::uint64_t>(t));
+               return [kv, rng]() mutable { kv->MixedOp(rng); };
+             })
+      .throughput_mops;
+}
+
+TEST(Integration, DefaultCnaHoldsUpInEveryContentionRegime) {
+  using SweepCna = locks::CnaLock<SimPlatform, SweepCnaConfig>;
+  using PaperBaseCna = locks::CnaLock<SimPlatform, SweepPaperBaseConfig>;
+  // Light contention: short queues leave nothing to reorder, so the default
+  // CNA must stay close to MCS.
+  const double mcs16 = ShardedKvOpsPerUs<SimMcs>(16);
+  const double cna16 = ShardedKvOpsPerUs<SweepCna>(16);
+  EXPECT_GE(cna16, 0.9 * mcs16) << "mcs=" << mcs16 << " cna=" << cna16;
+  // Heavy contention: at least the paper's base CNA.
+  for (const std::size_t stripes : {1u, 4u}) {
+    const double base = ShardedKvOpsPerUs<PaperBaseCna>(stripes);
+    const double cna = ShardedKvOpsPerUs<SweepCna>(stripes);
+    EXPECT_GE(cna, base) << stripes << " stripes";
+  }
 }
 
 TEST(Integration, DeterministicEndToEnd) {

@@ -33,6 +33,17 @@ namespace {
 
 using locks::ScopedLock;
 
+// CNA beside its default (FIFO handover mode, socket-tagged successors): the
+// paper's base policy, and the handover mode without tags, whose free-word
+// test must not depend on the tag stripping.
+struct PaperBaseCnaConfig : locks::CnaDefaultConfig {
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
+};
+struct UntaggedCnaConfig : locks::CnaDefaultConfig {
+  static constexpr bool kEncodeSocketInNext = false;
+};
+
 // ---------- Real-thread typed tests ----------
 
 template <typename L>
@@ -40,8 +51,8 @@ class RealLockTest : public ::testing::Test {};
 
 using RealLockTypes = ::testing::Types<
     locks::McsLock<RealPlatform>, locks::CnaLock<RealPlatform>,
-    locks::CnaLock<RealPlatform, locks::CnaShuffleReductionConfig>,
-    locks::CnaLock<RealPlatform, locks::CnaSocketInNextConfig>,
+    locks::CnaLock<RealPlatform, PaperBaseCnaConfig>,
+    locks::CnaLock<RealPlatform, UntaggedCnaConfig>,
     locks::McscrLock<RealPlatform>, locks::TasLock<RealPlatform>, locks::TtasLock<RealPlatform>,
     locks::BackoffTasLock<RealPlatform>, locks::TicketLock<RealPlatform>,
     locks::PartitionedTicketLock<RealPlatform>, locks::ClhLock<RealPlatform>,
@@ -176,8 +187,8 @@ class SimLockTest : public ::testing::Test {};
 
 using SimLockTypes = ::testing::Types<
     locks::McsLock<SimPlatform>, locks::CnaLock<SimPlatform>,
-    locks::CnaLock<SimPlatform, locks::CnaShuffleReductionConfig>,
-    locks::CnaLock<SimPlatform, locks::CnaSocketInNextConfig>,
+    locks::CnaLock<SimPlatform, PaperBaseCnaConfig>,
+    locks::CnaLock<SimPlatform, UntaggedCnaConfig>,
     locks::McscrLock<SimPlatform>, locks::TasLock<SimPlatform>, locks::TtasLock<SimPlatform>,
     locks::BackoffTasLock<SimPlatform>, locks::TicketLock<SimPlatform>,
     locks::PartitionedTicketLock<SimPlatform>, locks::ClhLock<SimPlatform>,

@@ -37,8 +37,7 @@ TEST(MakeLockTable, EveryKindBuildsAndRoundTrips) {
 }
 
 TEST(MakeLockTable, OneWordKindsStayCompact) {
-  for (auto kind : {core::LockKind::kMcs, core::LockKind::kCna,
-                    core::LockKind::kCnaOpt}) {
+  for (auto kind : {core::LockKind::kMcs, core::LockKind::kCna}) {
     auto table = core::MakeLockTable<RealPlatform>(
         kind, locktable::LockTableOptions{.stripes = 1024});
     EXPECT_EQ(table->PerStripeStateBytes(), sizeof(void*))
