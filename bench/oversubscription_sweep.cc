@@ -85,17 +85,20 @@ telemetry::HistogramSnapshot WaitSnapshot() {
 struct Point {
   double mops = 0.0;
   double wait_p99_us = 0.0;
-  double cpus_busy = 0.0;  // CPU-time per wall-second over the window
+  double cpus_busy = 0.0;  // CPU-time per wall-second over the whole run
 };
 
 // One sweep point: build a fresh table via make_table(), run the ladder
 // rung, and charge the whole run's process CPU (worker spin/park/wake plus
-// any run-off) to this configuration's phase.
+// any run-off) to this configuration's phase.  The run lasts longer than the
+// window -- thread start, and the run-off until every thread joins -- so CPU
+// time is divided by the wall time around the same interval.
 template <typename MakeTable>
 Point RunPoint(const std::string& label, int threads,
                std::chrono::nanoseconds window, MakeTable&& make_table) {
   telemetry::Registry::Global().ResetAll();
   auto table = make_table();
+  const auto wall0 = std::chrono::steady_clock::now();
   const harness::ProcessCpu cpu0 = harness::ProcessCpuNow();
   const auto r = harness::RunOnThreads(
       threads, window, /*virtual_sockets=*/2, [&table](int t) {
@@ -109,12 +112,15 @@ Point RunPoint(const std::string& label, int threads,
         };
       });
   const harness::ProcessCpu cpu1 = harness::ProcessCpuNow();
+  const auto wall1 = std::chrono::steady_clock::now();
   harness::RecordPhaseCpu(label + "@" + std::to_string(threads), cpu0, cpu1);
 
   Point p;
   p.mops = r.throughput_mops;
   p.wait_p99_us = static_cast<double>(WaitSnapshot().P99()) / 1000.0;
-  const double wall_ns = static_cast<double>(window.count());
+  const double wall_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0)
+          .count());
   p.cpus_busy = wall_ns > 0 ? static_cast<double>(cpu1.total_ns() -
                                                   cpu0.total_ns()) /
                                   wall_ns

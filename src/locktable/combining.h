@@ -91,8 +91,10 @@ struct CombiningTableOptions {
   // Rounded up to the next power of two; 0 is treated as 1.
   std::size_t stripes = 1024;
   StripePadding padding = StripePadding::kCompact;
-  // Enables both the underlying per-stripe lock counters and the combining
-  // combined/pass-through counters.
+  // Enables both the underlying table's lock counters and the combining
+  // pass-through/combined counters: two 16 B cells per stripe (packed in a
+  // kCompact table, a cache line each in a kCacheLine one) plus the totals
+  // lines of both (see table_stats.h).
   bool collect_stats = false;
   // Maximum records a combiner applies on others' behalf per drain class
   // (socket-local and remote are budgeted separately, so neither class can
@@ -157,7 +159,7 @@ class CombiningTable {
         budget_(options.combining_budget == 0 ? 1 : options.combining_budget),
         pub_(new PubStripe[table_.stripes()]) {
     if (options.collect_stats) {
-      cstats_.Enable(table_.stripes());
+      cstats_.Enable(table_.stripes(), table_.padding());
     }
     if (options.collect_latency) {
       lat_ = std::make_unique<CombiningLatency>(

@@ -85,11 +85,15 @@ class GcrAdmissionController {
 
   // Call after each detector Evaluate(): handles the falling edge.
   void Poll() {
+    // Asked before taking mu_: Evaluate() runs OnSaturation under the
+    // detector's lock, so holding mu_ here while taking it would order the
+    // two locks both ways.
+    const bool saturated = detector_.Active(telemetry::Condition::kSaturated);
     std::lock_guard<std::mutex> g(mu_);
     if (engaged_stripes_.empty()) {
       return;
     }
-    if (detector_.Active(telemetry::Condition::kSaturated)) {
+    if (saturated) {
       quiet_ = 0;
       return;
     }

@@ -58,8 +58,11 @@ struct LockTableOptions {
   // Rounded up to the next power of two; 0 is treated as 1.
   std::size_t stripes = 1024;
   StripePadding padding = StripePadding::kCompact;
-  // Allocates the per-stripe counter array and enables counting (the lock
-  // words themselves stay untouched; see table_stats.h).
+  // Allocates the counters and enables counting; the lock words stay
+  // untouched.  Each stripe gets a 16 B cell of acquisitions and contended
+  // acquisitions, packed in a kCompact table and a cache line each in a
+  // kCacheLine one; the table's other counts take min(stripes, 64) lines of
+  // totals (see table_stats.h).
   bool collect_stats = false;
   // Contention sampling: stats mode detects a contended acquisition with a
   // try-lock probe.  A probe that finds the stripe held costs one extra
@@ -119,7 +122,7 @@ class LockTable {
                             : options.metrics_name) +
             "/stripe")) {
     if (options.collect_stats) {
-      stats_.Enable(array_.stripes());
+      stats_.Enable(array_.stripes(), array_.padding());
     }
     if (options.collect_latency) {
       lat_ = std::make_unique<TableLatency>(
@@ -235,7 +238,8 @@ class LockTable {
   // All-or-nothing: if a mid-transaction acquisition throws (an overflow
   // ledger node under memory pressure), the stripes already taken are released
   // before the exception propagates, so the caller never holds a partial
-  // transaction it cannot identify.
+  // transaction it cannot identify.  The stripes a transaction took count as
+  // multi-key acquisitions once, on either path.
   std::size_t LockKeysInto(const std::uint64_t* keys, std::size_t count,
                            std::size_t* out) {
     const std::size_t n = DistinctStripesInto(keys, count, out);
@@ -245,9 +249,11 @@ class LockTable {
         Acquire<HoldMode::kExclusive>(out[taken], /*multi_key=*/true);
       }
     } catch (...) {
+      stats_.OnMultiKey(out, taken);
       UnlockStripesN(out, taken);
       throw;
     }
+    stats_.OnMultiKey(out, n);
     return n;
   }
 
@@ -426,7 +432,7 @@ class LockTable {
     typename Ledger::Held& held = ContextLedger().Checkout(&lock, M);
     const bool timed = lat_ != nullptr && telemetry::Enabled();
     const std::uint64_t t0 = timed ? P::NowNs() : 0;
-    AcquireImpl<M>(lock, *held.node, s, multi_key);
+    AcquireImpl<M>(lock, *held.node, s);
     if (timed || telemetry::lockdep::Enabled()) {
       AcquiredSinks<M>(held, s, multi_key, timed, t0);
     }
@@ -438,8 +444,7 @@ class LockTable {
     L& lock = StripeLock(s);
     typename Ledger::Held& held = ledger.Checkout(&lock, M);
     if (TryLockIn<M>(lock, *held.node)) {
-      stats_.template OnAcquire<M>(s, /*was_contended=*/false,
-                                   /*multi_key=*/false);
+      stats_.template OnAcquire<M>(s, /*was_contended=*/false);
       // Only exclusive holds are timed (see TableLatency).
       const bool time_hold = M == HoldMode::kExclusive && lat_ != nullptr &&
                              telemetry::Enabled();
@@ -462,10 +467,10 @@ class LockTable {
   }
 
   template <HoldMode M>
-  void AcquireImpl(L& lock, Handle& h, std::size_t s, bool multi_key) {
+  void AcquireImpl(L& lock, Handle& h, std::size_t s) {
     if constexpr (kTableParks) {
       if (blocking_) {
-        AcquireParked<M>(lock, h, s, multi_key);
+        AcquireParked<M>(lock, h, s);
         return;
       }
     }
@@ -476,18 +481,17 @@ class LockTable {
       if constexpr (kCanTry<M>) {
         if (probe_mask_ == 0 || (P::Random() & probe_mask_) == 0) {
           if (TryLockIn<M>(lock, h)) {
-            stats_.template OnAcquire<M>(s, /*was_contended=*/false,
-                                         multi_key);
+            stats_.template OnAcquire<M>(s, /*was_contended=*/false);
             return;
           }
           LockIn<M>(lock, h);
-          stats_.template OnAcquire<M>(s, /*was_contended=*/true, multi_key);
+          stats_.template OnAcquire<M>(s, /*was_contended=*/true);
           return;
         }
       }
     }
     LockIn<M>(lock, h);
-    stats_.template OnAcquire<M>(s, /*was_contended=*/false, multi_key);
+    stats_.template OnAcquire<M>(s, /*was_contended=*/false);
   }
 
   // Blocking-table acquisition: parking::SpinThenPark with the stripe's
@@ -495,11 +499,10 @@ class LockTable {
   // loop's live state would enlarge the stack frame that every spinning
   // acquisition sets up.
   template <HoldMode M>
-  [[gnu::noinline]] void AcquireParked(L& lock, Handle& h, std::size_t s,
-                                       bool multi_key) {
+  [[gnu::noinline]] void AcquireParked(L& lock, Handle& h, std::size_t s) {
     const bool waited = parking::SpinThenPark<P>(
         &lock, [&] { return TryLockIn<M>(lock, h); });
-    stats_.template OnAcquire<M>(s, waited, multi_key);
+    stats_.template OnAcquire<M>(s, waited);
   }
 
   // Ledger position of this context's newest hold of `lock` in mode M (any
@@ -648,7 +651,7 @@ class LockTable {
   std::uint32_t probe_mask_;  // stats_probe_period - 1 (period power of two)
   bool blocking_;             // immutable after construction
   int lockdep_cls_;           // lock class shared by every stripe
-  TableStats stats_;
+  TableStats<kReaderWriter> stats_;
   std::unique_ptr<TableLatency> lat_;  // null unless collect_latency
 };
 

@@ -1,4 +1,4 @@
-// Optional per-stripe occupancy/contention statistics for the lock table.
+// Optional per-stripe occupancy/contention statistics for the lock tables.
 //
 // Follows the cna_stats.h pattern: counters are diagnostics, not simulated
 // state -- they live in plain std::atomic cells (never P::Atomic), so the
@@ -7,37 +7,101 @@
 // kCollectStats, the summary additionally snapshots the process-global CNA
 // event counters (cna_stats.h), tying per-stripe contention back to the
 // paper's Section 7.1.1 queue-alteration statistics.
+//
+// Layout.  A stripe's cell holds only the two counts that something reads
+// per stripe (occupancy, the hottest stripe, the resize policy and GCR's
+// hot-stripe ranking): 16 B.  Cells take the table's StripePadding.  A
+// compact table packs them, so a 1 Mi-stripe table with stats carries 16 MiB
+// of counters beside its 8 MiB of lock words.  A kCacheLine table gives each
+// cell a line of its own, because it chose lines so that neighbouring stripes
+// never share one.  Every other count is read only as a table total; it goes
+// to one of min(stripes, 64) line-sized shards, picked by stripe index, which
+// spreads hot stripes without a thread-local lookup.
 #ifndef CNA_LOCKTABLE_TABLE_STATS_H_
 #define CNA_LOCKTABLE_TABLE_STATS_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 
+#include "base/cacheline.h"
 #include "locks/cna_stats.h"
 #include "locktable/held_ledger.h"
+#include "locktable/stripe_array.h"
 
 namespace cna::locktable {
 
+// The storage of one counter family: a Cell per stripe at the table's stripe
+// padding, and the Totals shards.  Both are allocated, zeroed, only by
+// Enable(); the families' methods are no-ops until then (cells_ == nullptr),
+// so call sites need no branching of their own.
+template <typename Cell, typename Totals>
+class StripeStatsArrays {
+ public:
+  // Cold: it runs once per table.  The attribute also steadies GCC 12's
+  // inlining in perfbench/src/capi_workload.cc, whose setup time doubles when
+  // a prefill loop there gets split (ROADMAP, small follow-ups).
+  [[gnu::cold]] void Enable(std::size_t stripes, StripePadding padding) {
+    stripes_ = stripes;
+    // A kCacheLine stripe's cell is followed by unused cells up to the next
+    // stripe's line.
+    shift_ = padding == StripePadding::kCacheLine
+                 ? std::countr_zero(kCacheLineSize / sizeof(Cell))
+                 : 0;
+    cells_ = std::make_unique<Cell[]>(stripes << shift_);
+    shard_mask_ = std::min(stripes, kMaxShards) - 1;
+    shards_ = std::make_unique<Totals[]>(shard_mask_ + 1);
+  }
+
+  bool enabled() const { return cells_ != nullptr; }
+
+  const Cell* stripe(std::size_t s) const {
+    return cells_ == nullptr ? nullptr : &cell(s);
+  }
+
+ protected:
+  static constexpr std::size_t kMaxShards = 64;
+
+  std::size_t stripes() const { return stripes_; }
+  Cell& cell(std::size_t s) const { return cells_[s << shift_]; }
+  // Shard i, for i < shards(), or the shard of stripe i.
+  Totals& shard(std::size_t i) const { return shards_[i & shard_mask_]; }
+  std::size_t shards() const { return cells_ == nullptr ? 0 : shard_mask_ + 1; }
+
+ private:
+  std::size_t stripes_ = 0;
+  int shift_ = 0;
+  std::size_t shard_mask_ = 0;
+  std::unique_ptr<Cell[]> cells_;
+  std::unique_ptr<Totals[]> shards_;
+};
+
 // One cell per stripe, allocated only when LockTableOptions::collect_stats is
-// set.  Padded so hot stripes do not false-share their counters.
-struct alignas(64) StripeCounters {
-  // Successful exclusive acquisitions of this stripe (every acquisition of
-  // a mutex stripe).
+// set.  Aligned so that a cell never straddles two lines.
+struct alignas(16) StripeCounters {
+  // Successful acquisitions of this stripe, in either mode.
   std::atomic<std::uint64_t> acquisitions{0};
-  // Exclusive acquisitions that found the stripe already held (detected by a
-  // failed try-lock on the way in; a lower bound on true contention).
+  // Acquisitions, in either mode, that found the stripe already held
+  // (detected by a failed try-lock on the way in; a lower bound on true
+  // contention).
   std::atomic<std::uint64_t> contended{0};
+};
+static_assert(sizeof(StripeCounters) == 16, "two counter words per stripe");
+
+// A lock table's totals shard.
+struct alignas(kCacheLineSize) TableTotals {
+  // Exclusive acquisitions and the contended part of them, counted on
+  // reader-writer tables only: every acquisition of a mutex table is one.
+  std::atomic<std::uint64_t> exclusive{0};
+  std::atomic<std::uint64_t> exclusive_contended{0};
   // Try-lock calls, in either mode, that returned false to the caller.
   std::atomic<std::uint64_t> trylock_failures{0};
-  // Acquisitions made on behalf of a multi-key (MultiGuard) transaction.
+  // Stripes acquired by multi-key (MultiGuard) transactions.
   std::atomic<std::uint64_t> multi_key{0};
-  // The same two counts for shared acquisitions (reader-writer stripes).
-  std::atomic<std::uint64_t> shared_acquisitions{0};
-  std::atomic<std::uint64_t> shared_contended{0};
 };
-static_assert(sizeof(StripeCounters) == 64, "one cache line per stripe");
 
 // Aggregated view over all stripes plus the global CNA event counters.
 // Acquisition counts cover both modes.
@@ -75,81 +139,90 @@ struct TableStatsSummary {
   }
 };
 
-// The per-table counter array.  Methods are no-ops when stats are disabled
-// (cells_ == nullptr), so call sites need no branching of their own.
-class TableStats {
+// A lock table's counters.  kReaderWriter tables also count their
+// exclusive acquisitions, in the shards, and the summary derives the shared
+// counts from those.
+template <bool kReaderWriter>
+class TableStats : public StripeStatsArrays<StripeCounters, TableTotals> {
  public:
-  TableStats() = default;
-
-  void Enable(std::size_t stripes) {
-    stripes_ = stripes;
-    cells_ = std::make_unique<StripeCounters[]>(stripes);
-  }
-
-  bool enabled() const { return cells_ != nullptr; }
-
+  // One RMW on the cell, one more if contended.  A reader-writer table's
+  // exclusive acquisition first adds the same to its shard, and then
+  // releases on the cell (see Summarize).
   template <HoldMode M>
-  void OnAcquire(std::size_t stripe, bool was_contended, bool multi_key) {
-    if (cells_ == nullptr) {
+  void OnAcquire(std::size_t stripe, bool was_contended) {
+    if (!enabled()) {
       return;
     }
-    StripeCounters& c = cells_[stripe];
-    constexpr bool kShared = M == HoldMode::kShared;
-    (kShared ? c.shared_acquisitions : c.acquisitions)
-        .fetch_add(1, std::memory_order_relaxed);
-    if (was_contended) {
-      (kShared ? c.shared_contended : c.contended)
-          .fetch_add(1, std::memory_order_relaxed);
+    constexpr bool kSplit = kReaderWriter && M == HoldMode::kExclusive;
+    constexpr std::memory_order kCellOrder =
+        kSplit ? std::memory_order_release : std::memory_order_relaxed;
+    if constexpr (kSplit) {
+      TableTotals& t = shard(stripe);
+      t.exclusive.fetch_add(1, std::memory_order_relaxed);
+      if (was_contended) {
+        t.exclusive_contended.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    if (multi_key) {
-      c.multi_key.fetch_add(1, std::memory_order_relaxed);
+    StripeCounters& c = cell(stripe);
+    c.acquisitions.fetch_add(1, kCellOrder);
+    if (was_contended) {
+      c.contended.fetch_add(1, kCellOrder);
     }
   }
 
   void OnTryLockFailure(std::size_t stripe) {
-    if (cells_ != nullptr) {
-      cells_[stripe].trylock_failures.fetch_add(1, std::memory_order_relaxed);
+    if (enabled()) {
+      shard(stripe).trylock_failures.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  const StripeCounters* stripe(std::size_t s) const {
-    return cells_ == nullptr ? nullptr : &cells_[s];
+  // A multi-key transaction that acquired stripes[0..n).
+  void OnMultiKey(const std::size_t* stripes, std::size_t n) {
+    if (enabled() && n > 0) {
+      shard(stripes[0]).multi_key.fetch_add(n, std::memory_order_relaxed);
+    }
   }
 
   TableStatsSummary Summarize() const {
     TableStatsSummary out;
-    out.stripes = stripes_;
-    for (std::size_t s = 0; cells_ != nullptr && s < stripes_; ++s) {
-      const std::uint64_t shared =
-          cells_[s].shared_acquisitions.load(std::memory_order_relaxed);
-      const std::uint64_t shared_contended =
-          cells_[s].shared_contended.load(std::memory_order_relaxed);
-      const std::uint64_t acq =
-          cells_[s].acquisitions.load(std::memory_order_relaxed) + shared;
+    out.stripes = stripes();
+    // Cells before shards.  A cell count read with acquire brings along every
+    // shard count its acquisitions added first, so the shards never fall
+    // behind the cells: on exclusive-only traffic the derived shared counts
+    // read 0.  While acquisitions are being recorded the shards can run
+    // ahead instead, so the derived counts are clamped at 0.
+    for (std::size_t s = 0; enabled() && s < stripes(); ++s) {
+      const StripeCounters& c = cell(s);
+      const std::uint64_t acq = c.acquisitions.load(std::memory_order_acquire);
       out.total_acquisitions += acq;
-      out.contended_acquisitions +=
-          cells_[s].contended.load(std::memory_order_relaxed) +
-          shared_contended;
-      out.trylock_failures +=
-          cells_[s].trylock_failures.load(std::memory_order_relaxed);
-      out.multi_key_acquisitions +=
-          cells_[s].multi_key.load(std::memory_order_relaxed);
-      out.shared_acquisitions += shared;
-      out.shared_contended += shared_contended;
+      out.contended_acquisitions += c.contended.load(std::memory_order_acquire);
       if (acq > 0) {
         ++out.occupied_stripes;
       }
-      if (acq > out.max_stripe_acquisitions) {
-        out.max_stripe_acquisitions = acq;
-      }
+      out.max_stripe_acquisitions = std::max(out.max_stripe_acquisitions, acq);
+    }
+    std::uint64_t exclusive = 0;
+    std::uint64_t exclusive_contended = 0;
+    for (std::size_t i = 0; i < shards(); ++i) {
+      const TableTotals& t = shard(i);
+      exclusive += t.exclusive.load(std::memory_order_relaxed);
+      exclusive_contended +=
+          t.exclusive_contended.load(std::memory_order_relaxed);
+      out.trylock_failures +=
+          t.trylock_failures.load(std::memory_order_relaxed);
+      out.multi_key_acquisitions += t.multi_key.load(std::memory_order_relaxed);
+    }
+    if constexpr (kReaderWriter) {
+      out.shared_acquisitions =
+          out.total_acquisitions -
+          std::min(exclusive, out.total_acquisitions);
+      out.shared_contended =
+          out.contended_acquisitions -
+          std::min(exclusive_contended, out.contended_acquisitions);
     }
     out.cna = locks::SnapshotCnaCounters();
     return out;
   }
-
- private:
-  std::size_t stripes_ = 0;
-  std::unique_ptr<StripeCounters[]> cells_;
 };
 
 // Read/write view of a reader-writer table's summary (RwLockTable's
@@ -201,21 +274,27 @@ struct RwTableStatsSummary {
 
 // ---------------------------------------------------------------------------
 // Flat-combining variant (combining.h): per-stripe counters classifying every
-// Apply/Submit operation by who executed it.  Same conventions again: plain
-// std::atomic cells, allocated only when stats are requested, no-ops
-// otherwise.  The defining invariant -- checked by the combining stress test
-// -- is that combined + pass_through equals the number of operations
-// completed against the stripe: every operation is executed exactly once,
-// either by its own submitter or by a combiner.
+// Apply/Submit operation by who executed it.  Same conventions and layout
+// again: plain std::atomic cells at the table's stripe padding plus totals
+// shards, allocated only when stats are requested, no-ops otherwise.  The
+// defining invariant -- checked by the combining stress test -- is that
+// combined + pass_through equals the number of operations completed against
+// the stripe: every operation is executed exactly once, either by its own
+// submitter or by a combiner.
 // ---------------------------------------------------------------------------
 
-struct alignas(64) CombiningStripeCounters {
+struct alignas(16) CombiningStripeCounters {
   // Operations executed by the context that submitted them (the uncontended
   // fast path, or a waiter that became the combiner and ran its own record).
   std::atomic<std::uint64_t> pass_through{0};
   // Operations executed by a combiner on behalf of another context -- the
   // quantity flat combining exists to create.
   std::atomic<std::uint64_t> combined{0};
+};
+static_assert(sizeof(CombiningStripeCounters) == 16,
+              "two counter words per stripe");
+
+struct alignas(kCacheLineSize) CombiningTotals {
   // Drains that applied at least one published record.
   std::atomic<std::uint64_t> batches{0};
   // Drains that hit the combining budget and re-published leftover records.
@@ -248,71 +327,55 @@ struct CombiningStatsSummary {
   }
 };
 
-class CombiningStats {
+class CombiningStats
+    : public StripeStatsArrays<CombiningStripeCounters, CombiningTotals> {
  public:
-  CombiningStats() = default;
-
-  void Enable(std::size_t stripes) {
-    stripes_ = stripes;
-    cells_ = std::make_unique<CombiningStripeCounters[]>(stripes);
-  }
-
-  bool enabled() const { return cells_ != nullptr; }
-
   void OnPassThrough(std::size_t stripe) {
-    if (cells_ != nullptr) {
-      cells_[stripe].pass_through.fetch_add(1, std::memory_order_relaxed);
+    if (enabled()) {
+      cell(stripe).pass_through.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   void OnCombined(std::size_t stripe) {
-    if (cells_ != nullptr) {
-      cells_[stripe].combined.fetch_add(1, std::memory_order_relaxed);
+    if (enabled()) {
+      cell(stripe).combined.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   void OnBatch(std::size_t stripe) {
-    if (cells_ != nullptr) {
-      cells_[stripe].batches.fetch_add(1, std::memory_order_relaxed);
+    if (enabled()) {
+      shard(stripe).batches.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   void OnBudgetCutoff(std::size_t stripe) {
-    if (cells_ != nullptr) {
-      cells_[stripe].budget_cutoffs.fetch_add(1, std::memory_order_relaxed);
+    if (enabled()) {
+      shard(stripe).budget_cutoffs.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-
-  const CombiningStripeCounters* stripe(std::size_t s) const {
-    return cells_ == nullptr ? nullptr : &cells_[s];
   }
 
   CombiningStatsSummary Summarize() const {
     CombiningStatsSummary out;
-    out.stripes = stripes_;
-    for (std::size_t s = 0; cells_ != nullptr && s < stripes_; ++s) {
+    out.stripes = stripes();
+    for (std::size_t s = 0; enabled() && s < stripes(); ++s) {
       const std::uint64_t pass =
-          cells_[s].pass_through.load(std::memory_order_relaxed);
+          cell(s).pass_through.load(std::memory_order_relaxed);
       const std::uint64_t comb =
-          cells_[s].combined.load(std::memory_order_relaxed);
+          cell(s).combined.load(std::memory_order_relaxed);
       out.pass_through += pass;
       out.combined += comb;
-      out.batches += cells_[s].batches.load(std::memory_order_relaxed);
-      out.budget_cutoffs +=
-          cells_[s].budget_cutoffs.load(std::memory_order_relaxed);
       if (pass + comb > 0) {
         ++out.occupied_stripes;
       }
-      if (pass + comb > out.max_stripe_ops) {
-        out.max_stripe_ops = pass + comb;
-      }
+      out.max_stripe_ops = std::max(out.max_stripe_ops, pass + comb);
+    }
+    for (std::size_t i = 0; i < shards(); ++i) {
+      out.batches += shard(i).batches.load(std::memory_order_relaxed);
+      out.budget_cutoffs +=
+          shard(i).budget_cutoffs.load(std::memory_order_relaxed);
     }
     return out;
   }
-
- private:
-  std::size_t stripes_ = 0;
-  std::unique_ptr<CombiningStripeCounters[]> cells_;
 };
 
 }  // namespace cna::locktable
