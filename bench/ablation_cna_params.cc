@@ -30,10 +30,8 @@ struct CounterConfig : locks::CnaDefaultConfig {
   static constexpr bool kCounterFairness = true;
 };
 
-struct StatsBaseConfig : locks::CnaDefaultConfig {
+struct StatsBaseConfig : locks::CnaPaperBaseConfig {
   static constexpr bool kCollectStats = true;
-  static constexpr bool kShuffleReduction = false;
-  static constexpr bool kEncodeSocketInNext = false;
 };
 struct StatsOptConfig : StatsBaseConfig {
   static constexpr bool kShuffleReduction = true;

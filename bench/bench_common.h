@@ -32,10 +32,8 @@ namespace cna::bench {
 // "CNA" is the paper's base policy.  "CNA-opt" is the library default at
 // the same fairness scaling: Section 6's shuffle reduction, as the FIFO
 // handover mode of locks/cna.h, and socket-tagged successors.
-struct BenchCnaConfig : locks::CnaDefaultConfig {
+struct BenchCnaConfig : locks::CnaPaperBaseConfig {
   static constexpr std::uint64_t kKeepLocalMask = 0xff;
-  static constexpr bool kShuffleReduction = false;
-  static constexpr bool kEncodeSocketInNext = false;
 };
 struct BenchCnaOptConfig : BenchCnaConfig {
   static constexpr bool kShuffleReduction = true;

@@ -18,7 +18,8 @@
 // A regime pass then fixes the fiber count (32 fibers on the 2-socket
 // machine, 64 on the 4-socket one) and sweeps the stripes from 1 (every
 // fiber in one queue) to 64 (one or two waiters per queue): the light end is
-// where base CNA's queue walks cost more than they save.
+// where base CNA's queue walks cost more than they save.  It also runs the
+// kernel lock's two slow paths, qspin-MCS and qspin-CNA, on the same tables.
 //
 // A final stats pass re-runs the 16-stripe CNA point with the per-stripe
 // occupancy/contention counters enabled (table_stats.h).
@@ -32,6 +33,7 @@
 
 #include "apps/sharded_kv.h"
 #include "bench_common.h"
+#include "qspin/qspinlock.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
 
@@ -41,6 +43,14 @@ using namespace cna;
 using namespace cna::bench;
 
 constexpr std::uint64_t kMillion = 1ull << 20;  // "1M" stripes (2^20)
+
+// qspin-CNA at the benches' fairness scaling (flush draw 1/256).
+struct SweepQspinCnaConfig : qspin::QspinCnaDefaultConfig {
+  static constexpr std::uint64_t kKeepLocalMask = 0xff;
+};
+using QspinMcs = qspin::QSpinLock<SimPlatform, qspin::SlowPathKind::kMcs>;
+using QspinCna = qspin::QSpinLock<SimPlatform, qspin::SlowPathKind::kCna,
+                                  SweepQspinCnaConfig>;
 
 const std::vector<std::size_t>& StripeCounts() {
   static const std::vector<std::size_t> counts = {1, 16, 1024, kMillion};
@@ -87,7 +97,7 @@ void RegimePass(std::uint64_t window_ns) {
         std::string("Lock-table sweep: contention regimes, throughput "
                     "(ops/us) vs stripes, sharded KV, ") +
             std::to_string(m.fibers) + " fibers, " + m.name,
-        "stripes", {"MCS", "CNA", "CNA-opt"});
+        "stripes", {"MCS", "CNA", "CNA-opt", "qspin-MCS", "qspin-CNA"});
     for (std::size_t stripes : m.stripes) {
       table.AddRow(
           static_cast<double>(stripes),
@@ -96,6 +106,10 @@ void RegimePass(std::uint64_t window_ns) {
            RunPoint<Cna>(m.fibers, window_ns, stripes, m.config)
                .throughput_mops,
            RunPoint<CnaOpt>(m.fibers, window_ns, stripes, m.config)
+               .throughput_mops,
+           RunPoint<QspinMcs>(m.fibers, window_ns, stripes, m.config)
+               .throughput_mops,
+           RunPoint<QspinCna>(m.fibers, window_ns, stripes, m.config)
                .throughput_mops});
     }
     table.Emit();
@@ -229,7 +243,8 @@ int main() {
   harness::SetBenchInfo(
       "locktable_sweep",
       "machine=2-socket threads=" + std::to_string(threads) +
-          " window_ns=" + std::to_string(window) + " locks=mcs,cna,cna-opt");
+          " window_ns=" + std::to_string(window) +
+          " locks=mcs,cna,cna-opt,qspin-mcs,qspin-cna");
 
   const std::vector<std::string> locks = {"MCS", "CNA", "CNA-opt"};
   harness::SeriesTable throughput(

@@ -23,13 +23,6 @@ namespace {
 
 using namespace cna;
 
-// The paper's base CNA, next to the library default (FIFO handover mode and
-// socket-tagged successors): the uncontended path must cost the same.
-struct PaperBaseCnaConfig : locks::CnaDefaultConfig {
-  static constexpr bool kShuffleReduction = false;
-  static constexpr bool kEncodeSocketInNext = false;
-};
-
 template <typename L>
 void BM_UncontendedLockUnlock(benchmark::State& state) {
   L lock;
@@ -43,8 +36,10 @@ void BM_UncontendedLockUnlock(benchmark::State& state) {
 
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::McsLock<RealPlatform>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::CnaLock<RealPlatform>);
+// The paper's base CNA, next to the library default (FIFO handover mode and
+// socket-tagged successors): the uncontended path must cost the same.
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock,
-                   locks::CnaLock<RealPlatform, PaperBaseCnaConfig>);
+                   locks::CnaLock<RealPlatform, locks::CnaPaperBaseConfig>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::TasLock<RealPlatform>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::TtasLock<RealPlatform>);
 BENCHMARK_TEMPLATE(BM_UncontendedLockUnlock, locks::TicketLock<RealPlatform>);

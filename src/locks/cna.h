@@ -38,6 +38,9 @@
 // kShuffleReduction = false never enters FIFO mode: the paper's base CNA
 // exactly.
 //
+// The handover policy (CnaPolicy) is written once over a queue-node type:
+// CnaLock runs it, and so does the qspinlock's CNA slow path.
+//
 // Configuration is a compile-time policy so that the lock object itself stays
 // exactly one word -- asserting the paper's headline space claim in the type
 // system.
@@ -56,8 +59,9 @@
 namespace cna::locks {
 
 // Default configuration: the paper's constants, with both Section 6
-// optimizations below switched on.  The paper's base CNA sets
-// kShuffleReduction and kEncodeSocketInNext to false.
+// optimizations below switched on.  The paper's base CNA
+// (CnaPaperBaseConfig) sets kShuffleReduction and kEncodeSocketInNext to
+// false.
 struct CnaDefaultConfig {
   // THRESHOLD (Figure 5): keep_lock_local() == rand & mask; the secondary
   // queue is flushed with probability 1/65536 per handover.
@@ -88,12 +92,229 @@ struct CnaDefaultConfig {
   static constexpr bool kTelemetry = false;
 };
 
+// The paper's base CNA (Sections 4-5): the defaults without the handover mode
+// and the socket tags.  The qspinlock's CNA slow path runs this policy.
+struct CnaPaperBaseConfig : CnaDefaultConfig {
+  static constexpr bool kShuffleReduction = false;
+  static constexpr bool kEncodeSocketInNext = false;
+};
+
 // Fully observable build: Section 7.1.1 counters plus wait-time histograms
 // and trace events.  Runtime cost is one relaxed flag load per slow-path
 // entry/handover when telemetry is globally disabled.
 struct CnaTelemetryConfig : CnaDefaultConfig {
   static constexpr bool kCollectStats = true;
   static constexpr bool kTelemetry = true;
+};
+
+// CNA's handover policy over a queue of CNA nodes, shared by CnaLock (whose
+// queue passes the lock) and the qspinlock's CNA slow path (whose queue
+// passes headship).  Node has CnaLock::Handle's four fields; kGrant publishes
+// a grant into a node's spin (a release store, plus an unpark for a parked
+// qspinlock waiter).  Each lock keeps the code for its own lock word and
+// calls PassOwnership() once a successor is linked behind its node.
+template <typename P, typename Cfg, typename Node,
+          void (*kGrant)(Node*, std::uintptr_t)>
+class CnaPolicy {
+ public:
+  // --- Handover mode (see the top of this file). ---
+  // Grant values for an empty secondary queue.
+  static constexpr std::uintptr_t kGrantNuma = 1;
+  static constexpr std::uintptr_t kGrantFifo = 2;
+
+  static bool HasSecondary(std::uintptr_t spin) { return spin > kGrantFifo; }
+
+  // --- Socket-in-next-pointer tagging (Section 6, first optimization). ---
+  // Nodes are 64-byte aligned, so the low 6 bits of a next pointer are free;
+  // they carry socket+1 (0 = no tag, fall back to the socket field).
+  static Node* Tagged(Node* n, int socket) {
+    if constexpr (Cfg::kEncodeSocketInNext) {
+      const auto tag = static_cast<std::uintptr_t>(socket + 1);
+      if (tag <= kSocketTagMask) {
+        return reinterpret_cast<Node*>(reinterpret_cast<std::uintptr_t>(n) |
+                                       tag);
+      }
+    }
+    return n;
+  }
+
+  static Node* Ptr(Node* raw) {
+    if constexpr (Cfg::kEncodeSocketInNext) {
+      return reinterpret_cast<Node*>(reinterpret_cast<std::uintptr_t>(raw) &
+                                     ~kSocketTagMask);
+    } else {
+      return raw;
+    }
+  }
+
+  // Figure 4 once a successor is linked, with the FIFO-mode block before the
+  // successor selection.  `next_raw` is the (possibly tagged) value read from
+  // me.next; `spin` is the caller's copy of me.spin.
+  static void PassOwnership(Node& me, Node* next_raw, std::uintptr_t spin) {
+    if constexpr (Cfg::kShuffleReduction) {
+      // FIFO mode: an MCS handover that keeps the mode, except that with
+      // probability 1/(kShuffleMask+1) the release probes in NUMA mode.
+      if (spin == kGrantFifo) {
+        if ((P::Random() & Cfg::kShuffleMask) != 0) {
+          kGrant(Ptr(next_raw), kGrantFifo);
+          Count(&CnaEventCounters::releases);
+          Count(&CnaEventCounters::shuffle_skips);
+          Count(&CnaEventCounters::fifo_handovers);
+          TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
+          return;
+        }
+        spin = kGrantNuma;
+      }
+    }
+
+    Node* succ = nullptr;
+    if (KeepLockLocal() &&
+        (succ = FindSuccessor(me, next_raw, spin)) != nullptr) {
+      // Same-socket successor found: pass ownership together with the
+      // current secondary-queue designator (NUMA-mode grant or head
+      // pointer) -- Figure 1(b)/(d).
+      kGrant(succ, spin);
+      Count(&CnaEventCounters::local_handovers);
+      TraceHandoff(telemetry::TraceEventType::kHandoffLocal);
+    } else if (HasSecondary(spin)) {
+      // Fairness flush (or no local successor): splice the secondary queue in
+      // front of our main-queue successor and hand ownership to its head --
+      // Figure 1(g).  succ->sec_tail need not be cleared: the head is about
+      // to own the queue and will never read it (paper, end of Section 5).
+      // The raw (possibly socket-tagged) next value is spliced verbatim so
+      // the tag survives for later traversals.
+      succ = reinterpret_cast<Node*>(spin);
+      succ->sec_tail.load(std::memory_order_relaxed)
+          ->next.store(next_raw, std::memory_order_relaxed);
+      kGrant(succ, kGrantNuma);
+      Count(&CnaEventCounters::secondary_flushes);
+      TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
+    } else {
+      // Secondary queue empty: plain MCS handover, in FIFO mode if
+      // find_successor() met a lone remote waiter, else in NUMA mode (this
+      // includes a keep_lock_local() fairness draw).
+      kGrant(Ptr(next_raw), spin);
+      Count(&CnaEventCounters::fifo_handovers);
+      TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
+    }
+    Count(&CnaEventCounters::releases);
+  }
+
+  // The main queue drained and the lock word now names the secondary tail:
+  // the secondary queue is the main queue.  Hand ownership to its head.
+  static void PassToSecondaryHead(Node* sec_head) {
+    kGrant(sec_head, kGrantNuma);
+    Count(&CnaEventCounters::releases);
+    Count(&CnaEventCounters::secondary_flushes);
+    TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
+  }
+
+  // Section 7.1.1's event counters; compiled out unless Cfg::kCollectStats.
+  static void Count(std::atomic<std::uint64_t> CnaEventCounters::*counter,
+                    std::uint64_t n = 1) {
+    if constexpr (Cfg::kCollectStats) {
+      (GlobalCnaCounters().*counter).fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  static constexpr std::uintptr_t kSocketTagMask = kCacheLineSize - 1;
+
+  // Socket of the node `node`, preferring the tag carried by the raw next
+  // value that led to it (avoids touching the node's cache line).
+  static int SocketOf(Node* raw, Node* node) {
+    if constexpr (Cfg::kEncodeSocketInNext) {
+      const auto tag = reinterpret_cast<std::uintptr_t>(raw) & kSocketTagMask;
+      if (tag != 0) {
+        return static_cast<int>(tag) - 1;
+      }
+    }
+    return node->socket.load(std::memory_order_acquire);
+  }
+
+  // Telemetry-only: classify the handover / queue move in the event trace.
+  // Compiles to nothing unless Cfg::kTelemetry; the socket/tid lookups are
+  // reached only with tracing switched on at runtime.
+  static void TraceHandoff(telemetry::TraceEventType type,
+                           std::uint64_t arg = 0) {
+    if constexpr (Cfg::kTelemetry) {
+      if (telemetry::TraceEnabled()) {
+        telemetry::TraceEmit(type, P::CurrentSocket(), P::CpuId(), arg);
+      }
+    }
+  }
+
+  // Figure 5's find_successor(): walk the main queue looking for the first
+  // waiter on our socket; move everything crossed on the way into the
+  // secondary queue (appending to it if it already exists).  `spin` is
+  // updated in place when the secondary queue is created here, or set to the
+  // FIFO-mode grant when the walk meets one waiter, on another socket, and
+  // the secondary queue is empty: there is nothing to reorder.
+  static Node* FindSuccessor(Node& me, Node* next_raw, std::uintptr_t& spin) {
+    Node* next = Ptr(next_raw);
+    int my_socket = me.socket.load(std::memory_order_relaxed);
+    if (my_socket == -1) {
+      // We took ownership without waiting and never recorded our socket.
+      my_socket = P::CurrentSocket();
+    }
+    if (SocketOf(next_raw, next) == my_socket) {
+      return next;  // immediate successor is local: nothing to move
+    }
+    Node* sec_head = next;
+    Node* sec_tail = next;
+    std::uint64_t segment_len = 1;
+    Node* cur_raw = next->next.load(std::memory_order_acquire);
+    while (Ptr(cur_raw) != nullptr) {
+      Node* cur = Ptr(cur_raw);
+      if (SocketOf(cur_raw, cur) == my_socket) {
+        // Move [sec_head .. sec_tail] into the secondary queue.
+        if (HasSecondary(spin)) {
+          // Append segment behind the existing secondary tail (untagged:
+          // secondary nodes keep their socket in the socket field).
+          reinterpret_cast<Node*>(spin)
+              ->sec_tail.load(std::memory_order_relaxed)
+              ->next.store(sec_head, std::memory_order_relaxed);
+        } else {
+          // Secondary queue was empty: the segment head becomes its head.
+          spin = reinterpret_cast<std::uintptr_t>(sec_head);
+          me.spin.store(spin, std::memory_order_relaxed);
+        }
+        sec_tail->next.store(nullptr, std::memory_order_relaxed);
+        reinterpret_cast<Node*>(spin)->sec_tail.store(
+            sec_tail, std::memory_order_relaxed);
+        Count(&CnaEventCounters::queue_alterations);
+        Count(&CnaEventCounters::waiters_moved, segment_len);
+        TraceHandoff(telemetry::TraceEventType::kSecondaryMove, segment_len);
+        return cur;
+      }
+      sec_tail = cur;
+      ++segment_len;
+      cur_raw = cur->next.load(std::memory_order_acquire);
+    }
+    // No same-socket waiter linked in yet.
+    if constexpr (Cfg::kShuffleReduction) {
+      if (segment_len == 1 && spin == kGrantNuma) {
+        spin = kGrantFifo;
+      }
+    }
+    return nullptr;
+  }
+
+  // Figure 5's keep_lock_local(), optionally with the Section 6 deferred-draw
+  // counter: draw once, count down per handover, flush when it hits zero.
+  static bool KeepLockLocal() {
+    if constexpr (Cfg::kCounterFairness) {
+      std::uint64_t& countdown = P::TlsSlot();
+      if (countdown == 0) {
+        countdown = (P::Random() & Cfg::kKeepLocalMask) + 1;
+        return false;
+      }
+      --countdown;
+      return true;
+    } else {
+      return (P::Random() & Cfg::kKeepLocalMask) != 0;
+    }
+  }
 };
 
 template <typename P, typename Cfg = CnaDefaultConfig>
@@ -140,7 +361,8 @@ class CnaLock {
     Handle* tail = reinterpret_cast<Handle*>(prev);
     const int my_socket = P::CurrentSocket();
     me.socket.store(my_socket, std::memory_order_relaxed);
-    tail->next.store(Tagged(&me, my_socket), std::memory_order_release);
+    tail->next.store(Policy::Tagged(&me, my_socket),
+                     std::memory_order_release);
     if constexpr (Cfg::kTelemetry) {
       if (telemetry::Enabled()) {
         const std::uint64_t t0 = telemetry::NowNs();
@@ -180,22 +402,23 @@ class CnaLock {
     return true;
   }
 
-  // Figure 4, with the FIFO-mode block between the no-successor handling
-  // and the successor selection.  me.spin is loaded once into `spin` and kept
-  // in sync (a real implementation keeps it in a register; the simulator
-  // would otherwise charge every re-read).
+  // Figure 4: the lock word's part (return the lock to free, or reinstall
+  // the secondary queue as the main queue); CnaPolicy passes the lock once a
+  // successor is linked.  me.spin is loaded once into `spin` (a real
+  // implementation keeps it in a register; the simulator would otherwise
+  // charge every re-read).
   void Unlock(Handle& me) {
     Handle* next_raw = me.next.load(std::memory_order_acquire);
-    std::uintptr_t spin = me.spin.load(std::memory_order_relaxed);
-    if (Ptr(next_raw) == nullptr) {
+    const std::uintptr_t spin = me.spin.load(std::memory_order_relaxed);
+    if (Policy::Ptr(next_raw) == nullptr) {
       // No successor visible in the main queue.
-      if (spin <= kGrantFifo) {
+      if (!Policy::HasSecondary(spin)) {
         // Secondary queue empty too: try to return the lock to "free",
         // keeping its mode.
         std::uintptr_t expected = Word(&me);
         if (tail_.compare_exchange_strong(expected, FreeWordOf(spin),
                                           std::memory_order_acq_rel)) {
-          CountRelease();
+          Policy::Count(&CnaEventCounters::releases);
           return;
         }
       } else {
@@ -208,242 +431,45 @@ class CnaLock {
                 expected,
                 Word(sec_head->sec_tail.load(std::memory_order_relaxed)),
                 std::memory_order_acq_rel)) {
-          sec_head->spin.store(kGrantNuma, std::memory_order_release);
-          CountRelease();
-          CountFlush();
-          TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
+          Policy::PassToSecondaryHead(sec_head);
           return;
         }
       }
       // A new waiter swapped itself in between our check and the CAS; wait
       // for it to link itself behind us.
-      while (Ptr(next_raw = me.next.load(std::memory_order_acquire)) ==
+      while (Policy::Ptr(next_raw = me.next.load(std::memory_order_acquire)) ==
              nullptr) {
         P::Pause();
       }
     }
-
-    if constexpr (Cfg::kShuffleReduction) {
-      // FIFO mode: an MCS handover that keeps the mode, except that with
-      // probability 1/(kShuffleMask+1) the release probes in NUMA mode.
-      if (spin == kGrantFifo) {
-        if ((P::Random() & Cfg::kShuffleMask) != 0) {
-          Ptr(next_raw)->spin.store(kGrantFifo, std::memory_order_release);
-          CountRelease();
-          if constexpr (Cfg::kCollectStats) {
-            GlobalCnaCounters().shuffle_skips.fetch_add(
-                1, std::memory_order_relaxed);
-            GlobalCnaCounters().fifo_handovers.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-          TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
-          return;
-        }
-        spin = kGrantNuma;
-      }
-    }
-
-    Handle* succ = nullptr;
-    if (KeepLockLocal() &&
-        (succ = FindSuccessor(me, next_raw, spin)) != nullptr) {
-      // Same-socket successor found: pass the lock together with the current
-      // secondary-queue designator (NUMA-mode grant or head pointer) --
-      // Figure 1(b)/(d).
-      succ->spin.store(spin, std::memory_order_release);
-      if constexpr (Cfg::kCollectStats) {
-        GlobalCnaCounters().local_handovers.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      TraceHandoff(telemetry::TraceEventType::kHandoffLocal);
-    } else if (spin > kGrantFifo) {
-      // Fairness flush (or no local successor): splice the secondary queue in
-      // front of our main-queue successor and hand the lock to its head --
-      // Figure 1(g).  succ->sec_tail need not be cleared: the head is about
-      // to own the lock and will never read it (paper, end of Section 5).
-      // The raw (possibly socket-tagged) next value is spliced verbatim so
-      // the tag survives for later traversals.
-      succ = reinterpret_cast<Handle*>(spin);
-      succ->sec_tail.load(std::memory_order_relaxed)
-          ->next.store(next_raw, std::memory_order_relaxed);
-      succ->spin.store(kGrantNuma, std::memory_order_release);
-      CountFlush();
-      TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
-    } else {
-      // Secondary queue empty: plain MCS handover, in FIFO mode if
-      // find_successor() met a lone remote waiter, else in NUMA mode (this
-      // includes a keep_lock_local() fairness draw).
-      Ptr(next_raw)->spin.store(spin, std::memory_order_release);
-      if constexpr (Cfg::kCollectStats) {
-        GlobalCnaCounters().fifo_handovers.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
-    }
-    CountRelease();
+    Policy::PassOwnership(me, next_raw, spin);
   }
 
   bool HasQueuedWaiters(const Handle& me) const {
-    return Ptr(me.next.load(std::memory_order_acquire)) != nullptr;
+    return Policy::Ptr(me.next.load(std::memory_order_acquire)) != nullptr;
   }
 
  private:
-  // --- Handover mode (see the top of this file). ---
-  // Grant values for an empty secondary queue.  FIFO mode's free word is its
-  // grant value; NUMA mode's free word is 0 (nullptr), as in the paper.
-  static constexpr std::uintptr_t kGrantNuma = 1;
-  static constexpr std::uintptr_t kGrantFifo = 2;
+  // The lock passes straight to the successor: a release store of the grant.
+  static void Grant(Handle* n, std::uintptr_t grant) {
+    n->spin.store(grant, std::memory_order_release);
+  }
+  using Policy = CnaPolicy<P, Cfg, Handle, Grant>;
 
+  // --- The lock word's handover modes (see the top of this file). ---
+  // FIFO mode's free word is its grant value; NUMA mode's free word is 0
+  // (nullptr), as in the paper.
   static std::uintptr_t Word(Handle* n) {
     return reinterpret_cast<std::uintptr_t>(n);
   }
   // The lock word holds no node: 0 or 2, never a (64-aligned) Handle*.  The
   // word is never socket-tagged, so this does not depend on the tagging.
-  static bool IsFree(std::uintptr_t word) { return word <= kGrantFifo; }
+  static bool IsFree(std::uintptr_t word) { return word <= Policy::kGrantFifo; }
   static std::uintptr_t GrantOf(std::uintptr_t free_word) {
-    return free_word == 0 ? kGrantNuma : kGrantFifo;
+    return free_word == 0 ? Policy::kGrantNuma : Policy::kGrantFifo;
   }
   static std::uintptr_t FreeWordOf(std::uintptr_t grant) {
-    return grant & kGrantFifo;
-  }
-
-  // --- Socket-in-next-pointer tagging (Section 6, first optimization). ---
-  // Handles are 64-byte aligned, so the low 6 bits of a next pointer are
-  // free; they carry socket+1 (0 = no tag, fall back to the socket field).
-  static constexpr std::uintptr_t kSocketTagMask = kCacheLineSize - 1;
-
-  static Handle* Tagged(Handle* n, int socket) {
-    if constexpr (Cfg::kEncodeSocketInNext) {
-      const auto tag = static_cast<std::uintptr_t>(socket + 1);
-      if (tag <= kSocketTagMask) {
-        return reinterpret_cast<Handle*>(reinterpret_cast<std::uintptr_t>(n) |
-                                         tag);
-      }
-    }
-    return n;
-  }
-
-  static Handle* Ptr(Handle* raw) {
-    if constexpr (Cfg::kEncodeSocketInNext) {
-      return reinterpret_cast<Handle*>(reinterpret_cast<std::uintptr_t>(raw) &
-                                       ~kSocketTagMask);
-    } else {
-      return raw;
-    }
-  }
-
-  // Socket of the node `node`, preferring the tag carried by the raw next
-  // value that led to it (avoids touching the node's cache line).
-  static int SocketOf(Handle* raw, Handle* node) {
-    if constexpr (Cfg::kEncodeSocketInNext) {
-      const auto tag = reinterpret_cast<std::uintptr_t>(raw) & kSocketTagMask;
-      if (tag != 0) {
-        return static_cast<int>(tag) - 1;
-      }
-    }
-    return node->socket.load(std::memory_order_acquire);
-  }
-
-  void CountRelease() {
-    if constexpr (Cfg::kCollectStats) {
-      GlobalCnaCounters().releases.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void CountFlush() {
-    if constexpr (Cfg::kCollectStats) {
-      GlobalCnaCounters().secondary_flushes.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
-
-  // Telemetry-only: classify the handover / queue move in the event trace.
-  // Compiles to nothing unless Cfg::kTelemetry; the socket/tid lookups are
-  // reached only with tracing switched on at runtime.
-  static void TraceHandoff(telemetry::TraceEventType type,
-                           std::uint64_t arg = 0) {
-    if constexpr (Cfg::kTelemetry) {
-      if (telemetry::TraceEnabled()) {
-        telemetry::TraceEmit(type, P::CurrentSocket(), P::CpuId(), arg);
-      }
-    }
-  }
-
-  // Figure 5's find_successor(): walk the main queue looking for the first
-  // waiter on our socket; move everything crossed on the way into the
-  // secondary queue (appending to it if it already exists).  `next_raw` is
-  // the (possibly tagged) value read from me.next; `spin` is the caller's
-  // cached copy of me.spin (NUMA-mode grant or secondary head) and is updated
-  // in place when the secondary queue is created here, or set to the
-  // FIFO-mode grant when the walk meets one waiter, on another socket, and
-  // the secondary queue is empty: there is nothing to reorder.
-  Handle* FindSuccessor(Handle& me, Handle* next_raw, std::uintptr_t& spin) {
-    Handle* next = Ptr(next_raw);
-    int my_socket = me.socket.load(std::memory_order_relaxed);
-    if (my_socket == -1) {
-      // We acquired the lock uncontended and never recorded our socket.
-      my_socket = P::CurrentSocket();
-    }
-    if (SocketOf(next_raw, next) == my_socket) {
-      return next;  // immediate successor is local: nothing to move
-    }
-    Handle* sec_head = next;
-    Handle* sec_tail = next;
-    std::uint64_t segment_len = 1;
-    Handle* cur_raw = next->next.load(std::memory_order_acquire);
-    while (Ptr(cur_raw) != nullptr) {
-      Handle* cur = Ptr(cur_raw);
-      if (SocketOf(cur_raw, cur) == my_socket) {
-        // Move [sec_head .. sec_tail] into the secondary queue.
-        if (spin > kGrantFifo) {
-          // Append segment behind the existing secondary tail (untagged:
-          // secondary nodes keep their socket in the socket field).
-          reinterpret_cast<Handle*>(spin)
-              ->sec_tail.load(std::memory_order_relaxed)
-              ->next.store(sec_head, std::memory_order_relaxed);
-        } else {
-          // Secondary queue was empty: the segment head becomes its head.
-          spin = reinterpret_cast<std::uintptr_t>(sec_head);
-          me.spin.store(spin, std::memory_order_relaxed);
-        }
-        sec_tail->next.store(nullptr, std::memory_order_relaxed);
-        reinterpret_cast<Handle*>(spin)->sec_tail.store(
-            sec_tail, std::memory_order_relaxed);
-        if constexpr (Cfg::kCollectStats) {
-          GlobalCnaCounters().queue_alterations.fetch_add(
-              1, std::memory_order_relaxed);
-          GlobalCnaCounters().waiters_moved.fetch_add(
-              segment_len, std::memory_order_relaxed);
-        }
-        TraceHandoff(telemetry::TraceEventType::kSecondaryMove, segment_len);
-        return cur;
-      }
-      sec_tail = cur;
-      ++segment_len;
-      cur_raw = cur->next.load(std::memory_order_acquire);
-    }
-    // No same-socket waiter linked in yet.
-    if constexpr (Cfg::kShuffleReduction) {
-      if (segment_len == 1 && spin == kGrantNuma) {
-        spin = kGrantFifo;
-      }
-    }
-    return nullptr;
-  }
-
-  // Figure 5's keep_lock_local(), optionally with the Section 6 deferred-draw
-  // counter: draw once, count down per handover, flush when it hits zero.
-  bool KeepLockLocal() {
-    if constexpr (Cfg::kCounterFairness) {
-      std::uint64_t& countdown = P::TlsSlot();
-      if (countdown == 0) {
-        countdown = (P::Random() & Cfg::kKeepLocalMask) + 1;
-        return false;
-      }
-      --countdown;
-      return true;
-    } else {
-      return (P::Random() & Cfg::kKeepLocalMask) != 0;
-    }
+    return grant & Policy::kGrantFifo;
   }
 
   // Tail of the main queue while held; IsFree() values while free.

@@ -18,7 +18,8 @@
 namespace cna::locks {
 
 struct CnaEventCounters {
-  // Completed acquisition/release pairs observed at unlock time.
+  // Completed acquisition/release pairs observed at unlock time (for
+  // qspin-CNA: queue-headship passes).
   std::atomic<std::uint64_t> releases{0};
   // Handovers that passed to a same-socket successor found by
   // find_successor() (includes the immediate-successor fast case).
@@ -47,8 +48,8 @@ struct CnaEventCounters {
   }
 };
 
-// Process-global sink used by every CnaLock instantiation whose config sets
-// kCollectStats.  Benchmarks Reset() it around measured regions.
+// Process-global sink used by every CNA queue (CnaLock, qspin-CNA) whose
+// config sets kCollectStats.  Benchmarks Reset() it around measured regions.
 inline CnaEventCounters& GlobalCnaCounters() {
   static CnaEventCounters counters;
   return counters;

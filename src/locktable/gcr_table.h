@@ -85,9 +85,9 @@ class GcrAdmissionController {
 
   // Call after each detector Evaluate(): handles the falling edge.
   void Poll() {
-    // Asked before taking mu_: Evaluate() runs OnSaturation under the
-    // detector's lock, so holding mu_ here while taking it would order the
-    // two locks both ways.
+    // Asked before taking mu_, so this controller never holds mu_ while it
+    // waits for the detector's lock.  Evaluate() calls OnSaturation with no
+    // detector lock held, so the two locks are never nested either way.
     const bool saturated = detector_.Active(telemetry::Condition::kSaturated);
     std::lock_guard<std::mutex> g(mu_);
     if (engaged_stripes_.empty()) {

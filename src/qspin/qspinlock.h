@@ -14,9 +14,12 @@
 // byte and immediately passes queue-headship to its successor, which then
 // spins on the word while the new holder runs its critical section.  The CNA
 // integration replaces only this headship handover: instead of waking the
-// FIFO successor, it applies CNA's same-socket successor search and secondary
-// queue (the paper: "we modified the slow path acquisition function ... to
-// use CNA instead of MCS", leaving unlock and the fast path intact).
+// FIFO successor, it runs CnaLock's handover policy (locks::CnaPolicy) on the
+// per-CPU queue nodes (the paper: "we modified the slow path acquisition
+// function ... to use CNA instead of MCS", leaving unlock and the fast path
+// intact).  This file keeps only the lock word's part: the tail codes, the
+// locked and pending bits, and reinstalling the secondary queue as the main
+// queue.
 //
 // Unlock is a single store clearing the locked byte -- "the release of the
 // spin lock does not involve queue nodes".
@@ -28,6 +31,7 @@
 #include <cstdint>
 
 #include "base/cacheline.h"
+#include "locks/cna.h"
 #include "qspin/qspin_word.h"
 
 namespace cna::qspin {
@@ -38,9 +42,8 @@ enum class SlowPathKind {
   kCna,  // the paper's patch (https://lwn.net/Articles/778235)
 };
 
-// CNA slow-path tuning; mirrors locks::CnaDefaultConfig.
-struct QspinCnaDefaultConfig {
-  static constexpr std::uint64_t kKeepLocalMask = 0xffff;
+// CNA slow-path tuning: the paper's base policy, as CnaLock runs it.
+struct QspinCnaDefaultConfig : locks::CnaPaperBaseConfig {
   // Spin-then-park for queued waiters (kernel-faithful scope: only NON-head
   // queued waiters ever park; the queue head and the pending waiter keep
   // spinning on the word, as in the kernel).  After kParkSpinBudget polite
@@ -66,8 +69,8 @@ struct QspinParkedConfig : QspinCnaDefaultConfig {
 template <typename P>
 struct QSpinNodes {
   struct alignas(kCacheLineSize) QNode {
-    // 0 while waiting; 1 = headship granted with empty secondary queue;
-    // otherwise headship granted, value = secondary queue head (QNode*).
+    // The four fields of locks::CnaPolicy's queue node; spin carries the
+    // headship grant.
     typename P::template Atomic<std::uintptr_t> spin{0};
     typename P::template Atomic<int> socket{-1};
     typename P::template Atomic<QNode*> sec_tail{nullptr};
@@ -202,11 +205,14 @@ class QSpinLock {
     const std::uint32_t old = ExchangeTail(me->tail_code);
     if (HasTail(old)) {
       // Predecessor exists: link in and wait for queue headship.
+      QNode* link = me;
       if constexpr (kKind == SlowPathKind::kCna) {
-        me->socket.store(P::CurrentSocket(), std::memory_order_relaxed);
+        const int my_socket = P::CurrentSocket();
+        me->socket.store(my_socket, std::memory_order_relaxed);
+        link = Policy::Tagged(me, my_socket);
       }
       QNode* prev = Nodes::Decode(old & kTailMask);
-      prev->next.store(me, std::memory_order_release);
+      prev->next.store(link, std::memory_order_release);
       if constexpr (Cfg::kParkWaiters) {
         WaitForHeadship(me);
       } else {
@@ -215,7 +221,8 @@ class QSpinLock {
         }
       }
     } else {
-      me->spin.store(1, std::memory_order_relaxed);  // head, empty secondary
+      // Head, empty secondary queue; a new queue starts in NUMA mode.
+      me->spin.store(Policy::kGrantNuma, std::memory_order_relaxed);
     }
 
     // Queue head: wait for the holder and any pending waiter to drain.
@@ -229,7 +236,7 @@ class QSpinLock {
     const std::uintptr_t my_spin = me->spin.load(std::memory_order_relaxed);
     if ((v & kTailMask) == me->tail_code) {
       // We are the last queued waiter.
-      if (my_spin == 1) {
+      if (!Policy::HasSecondary(my_spin)) {
         // Secondary queue empty: uninstall the tail and take the lock in one
         // CAS; the queue dissolves.
         std::uint32_t expected = v;
@@ -248,7 +255,7 @@ class QSpinLock {
         if (val_.compare_exchange_strong(expected,
                                          kLockedVal | sec_tail->tail_code,
                                          std::memory_order_acquire)) {
-          GrantHeadship(sec_head, 1);
+          Policy::PassToSecondaryHead(sec_head);
           --pc.depth;
           return;
         }
@@ -264,28 +271,14 @@ class QSpinLock {
     --pc.depth;
   }
 
-  // Hand queue-headship from `me` to a successor.  MCS: FIFO.  CNA: prefer a
-  // same-socket waiter, shuffling skipped remote waiters into the secondary
-  // queue; occasionally (or when no local waiter exists) flush the secondary
-  // queue back ahead of `next` for long-term fairness.
-  void PassHeadship(QNode* me, QNode* next) {
+  // Hand queue-headship from `me` to its linked successor `next_raw`.  MCS:
+  // FIFO.  CNA: the policy's handover.
+  void PassHeadship(QNode* me, QNode* next_raw) {
     if constexpr (kKind == SlowPathKind::kMcs) {
-      GrantHeadship(next, 1);
-      return;
+      GrantHeadship(next_raw, Policy::kGrantNuma);
     } else {
-      std::uintptr_t spin = me->spin.load(std::memory_order_relaxed);
-      QNode* succ = nullptr;
-      if (KeepLockLocal() &&
-          (succ = FindSuccessor(me, next, spin)) != nullptr) {
-        GrantHeadship(succ, spin);
-      } else if (spin > 1) {
-        succ = reinterpret_cast<QNode*>(spin);
-        succ->sec_tail.load(std::memory_order_relaxed)
-            ->next.store(next, std::memory_order_relaxed);
-        GrantHeadship(succ, 1);
-      } else {
-        GrantHeadship(next, 1);
-      }
+      Policy::PassOwnership(*me, next_raw,
+                            me->spin.load(std::memory_order_relaxed));
     }
   }
 
@@ -295,7 +288,7 @@ class QSpinLock {
   // granter does "spin store; park exchange" -- both words seq_cst, so
   // whichever side runs second is guaranteed to see the other's write and
   // either the waiter never sleeps or the granter issues the wake.
-  void GrantHeadship(QNode* n, std::uintptr_t spin_val) {
+  static void GrantHeadship(QNode* n, std::uintptr_t spin_val) {
     if constexpr (Cfg::kParkWaiters) {
       n->spin.store(spin_val, std::memory_order_seq_cst);
       if (n->park.exchange(0, std::memory_order_seq_cst) != 0) {
@@ -305,6 +298,7 @@ class QSpinLock {
       n->spin.store(spin_val, std::memory_order_release);
     }
   }
+  using Policy = locks::CnaPolicy<P, Cfg, QNode, GrantHeadship>;
 
   // Bounded spin, then park on the per-CPU QNode until GrantHeadship.
   void WaitForHeadship(QNode* me) {
@@ -329,40 +323,6 @@ class QSpinLock {
       }
     }
   }
-
-  QNode* FindSuccessor(QNode* me, QNode* next, std::uintptr_t& spin) {
-    int my_socket = me->socket.load(std::memory_order_relaxed);
-    if (my_socket == -1) {
-      my_socket = P::CurrentSocket();
-    }
-    if (next->socket.load(std::memory_order_acquire) == my_socket) {
-      return next;
-    }
-    QNode* sec_head = next;
-    QNode* sec_tail = next;
-    QNode* cur = next->next.load(std::memory_order_acquire);
-    while (cur != nullptr) {
-      if (cur->socket.load(std::memory_order_acquire) == my_socket) {
-        if (spin > 1) {
-          reinterpret_cast<QNode*>(spin)
-              ->sec_tail.load(std::memory_order_relaxed)
-              ->next.store(sec_head, std::memory_order_relaxed);
-        } else {
-          spin = reinterpret_cast<std::uintptr_t>(sec_head);
-          me->spin.store(spin, std::memory_order_relaxed);
-        }
-        sec_tail->next.store(nullptr, std::memory_order_relaxed);
-        reinterpret_cast<QNode*>(spin)->sec_tail.store(
-            sec_tail, std::memory_order_relaxed);
-        return cur;
-      }
-      sec_tail = cur;
-      cur = cur->next.load(std::memory_order_acquire);
-    }
-    return nullptr;
-  }
-
-  bool KeepLockLocal() { return (P::Random() & Cfg::kKeepLocalMask) != 0; }
 
   // Atomically replace the tail bits, preserving locked/pending (the
   // kernel's xchg_tail, done here as a CAS loop on the full word).

@@ -180,15 +180,42 @@ class SaturationDetector {
       }
     }
 
-    std::lock_guard<std::mutex> g(mu_);
-    std::vector<Condition> raised;
-    UpdateLocked(Condition::kThroughputCollapse, collapse, ev, &raised);
-    UpdateLocked(Condition::kWaitSpike, spike, ev, &raised);
-    UpdateLocked(Condition::kSaturated, collapse && spike, ev, &raised);
+    // Rising edges are recorded under mu_ and announced after releasing it,
+    // so a subscriber may query the detector.  Indexed by Condition.
+    const bool now_active[kConditionCount] = {collapse, spike,
+                                              collapse && spike};
+    std::vector<ConditionEvent> raised;
+    std::vector<std::function<void(const ConditionEvent&)>> subscribers;
     std::vector<Condition> active;
-    for (int i = 0; i < kConditionCount; ++i) {
-      if (active_[static_cast<std::size_t>(i)]) {
-        active.push_back(static_cast<Condition>(i));
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      for (int i = 0; i < kConditionCount; ++i) {
+        const auto c = static_cast<std::size_t>(i);
+        if (now_active[c] && !active_[c]) {
+          ++trips_[c];
+          trip_counters_[c]->Add(1);
+          ev.condition = static_cast<Condition>(i);
+          raised.push_back(ev);
+        }
+        active_[c] = now_active[c];
+        if (active_[c]) {
+          active.push_back(static_cast<Condition>(i));
+        }
+      }
+      if (!raised.empty()) {
+        subscribers = subscribers_;
+      }
+    }
+    for (const ConditionEvent& e : raised) {
+      for (const auto& cb : subscribers) {
+        cb(e);
+      }
+      if (options_.log) {
+        std::fprintf(stderr,
+                     "[cna-saturation] %s: rate %.0f/s slope %+.3f/tick "
+                     "p99 %llu ns\n",
+                     ConditionName(e.condition), e.rate_per_sec, e.slope,
+                     static_cast<unsigned long long>(e.wait_p99_ns));
       }
     }
     return active;
@@ -205,7 +232,8 @@ class SaturationDetector {
     return trips_[static_cast<std::size_t>(static_cast<int>(c))];
   }
 
-  // Called on every rising edge.  This is the hook the ROADMAP's
+  // Called on every rising edge, on the thread running Evaluate() and with
+  // no detector lock held.  This is the hook the ROADMAP's
   // concurrency-restriction item subscribes its admission policy to.
   void Subscribe(std::function<void(const ConditionEvent&)> callback) {
     std::lock_guard<std::mutex> g(mu_);
@@ -228,28 +256,6 @@ class SaturationDetector {
   }
 
  private:
-  void UpdateLocked(Condition c, bool now_active, ConditionEvent ev,
-                    std::vector<Condition>* raised) {
-    const auto i = static_cast<std::size_t>(static_cast<int>(c));
-    if (now_active && !active_[i]) {
-      ++trips_[i];
-      trip_counters_[i]->Add(1);
-      ev.condition = c;
-      raised->push_back(c);
-      for (const auto& cb : subscribers_) {
-        cb(ev);
-      }
-      if (options_.log) {
-        std::fprintf(stderr,
-                     "[cna-saturation] %s: rate %.0f/s slope %+.3f/tick "
-                     "p99 %llu ns\n",
-                     ConditionName(c), ev.rate_per_sec, ev.slope,
-                     static_cast<unsigned long long>(ev.wait_p99_ns));
-      }
-    }
-    active_[i] = now_active;
-  }
-
   Sampler& sampler_;
   SaturationOptions options_;
 

@@ -23,12 +23,6 @@ namespace {
 
 using SimCna = locks::CnaLock<SimPlatform>;
 
-// The paper's base CNA: no shuffle reduction, untagged next pointers.
-struct PaperBaseConfig : locks::CnaDefaultConfig {
-  static constexpr bool kShuffleReduction = false;
-  static constexpr bool kEncodeSocketInNext = false;
-};
-
 sim::MachineConfig TwoSocketSmall(int cpus_per_socket = 8) {
   sim::MachineConfig cfg;
   cfg.topology = numa::Topology::Uniform(2, cpus_per_socket);
@@ -346,7 +340,7 @@ TEST(CnaFairness, AllThreadsFinishWithDefaultThreshold) {
 // ---------- Section 6 socket-in-next-pointer encoding ----------
 
 // Tagging alone, on top of the paper's base policy.
-struct TaggedConfig : PaperBaseConfig {
+struct TaggedConfig : locks::CnaPaperBaseConfig {
   static constexpr bool kEncodeSocketInNext = true;
 };
 using TaggedCna = locks::CnaLock<SimPlatform, TaggedConfig>;
@@ -402,13 +396,14 @@ TEST(CnaTagged, AvoidsSuccessorNodeTouchOnLocalityCheck) {
     return m.TotalStats().loads;
   };
   const auto tagged_loads = run(TaggedCna{});
-  const auto plain_loads = run(locks::CnaLock<SimPlatform, PaperBaseConfig>{});
+  const auto plain_loads =
+      run(locks::CnaLock<SimPlatform, locks::CnaPaperBaseConfig>{});
   EXPECT_LT(tagged_loads, plain_loads);
 }
 
 // ---------- Section 7.1.1 queue-alteration statistics ----------
 
-struct StatsConfig : PaperBaseConfig {
+struct StatsConfig : locks::CnaPaperBaseConfig {
   static constexpr bool kCollectStats = true;
 };
 struct StatsOptConfig : StatsConfig {

@@ -110,9 +110,8 @@ TEST(Integration, FairnessStaysBounded) {
 struct SweepCnaConfig : locks::CnaDefaultConfig {
   static constexpr std::uint64_t kKeepLocalMask = 0xff;
 };
-struct SweepPaperBaseConfig : SweepCnaConfig {
-  static constexpr bool kShuffleReduction = false;
-  static constexpr bool kEncodeSocketInNext = false;
+struct SweepPaperBaseConfig : locks::CnaPaperBaseConfig {
+  static constexpr std::uint64_t kKeepLocalMask = 0xff;
 };
 
 template <typename L>

@@ -34,12 +34,8 @@ namespace {
 using locks::ScopedLock;
 
 // CNA beside its default (FIFO handover mode, socket-tagged successors): the
-// paper's base policy, and the handover mode without tags, whose free-word
-// test must not depend on the tag stripping.
-struct PaperBaseCnaConfig : locks::CnaDefaultConfig {
-  static constexpr bool kShuffleReduction = false;
-  static constexpr bool kEncodeSocketInNext = false;
-};
+// paper's base policy (locks::CnaPaperBaseConfig), and the handover mode
+// without tags, whose free-word test must not depend on the tag stripping.
 struct UntaggedCnaConfig : locks::CnaDefaultConfig {
   static constexpr bool kEncodeSocketInNext = false;
 };
@@ -51,7 +47,7 @@ class RealLockTest : public ::testing::Test {};
 
 using RealLockTypes = ::testing::Types<
     locks::McsLock<RealPlatform>, locks::CnaLock<RealPlatform>,
-    locks::CnaLock<RealPlatform, PaperBaseCnaConfig>,
+    locks::CnaLock<RealPlatform, locks::CnaPaperBaseConfig>,
     locks::CnaLock<RealPlatform, UntaggedCnaConfig>,
     locks::McscrLock<RealPlatform>, locks::TasLock<RealPlatform>, locks::TtasLock<RealPlatform>,
     locks::BackoffTasLock<RealPlatform>, locks::TicketLock<RealPlatform>,
@@ -187,7 +183,7 @@ class SimLockTest : public ::testing::Test {};
 
 using SimLockTypes = ::testing::Types<
     locks::McsLock<SimPlatform>, locks::CnaLock<SimPlatform>,
-    locks::CnaLock<SimPlatform, PaperBaseCnaConfig>,
+    locks::CnaLock<SimPlatform, locks::CnaPaperBaseConfig>,
     locks::CnaLock<SimPlatform, UntaggedCnaConfig>,
     locks::McscrLock<SimPlatform>, locks::TasLock<SimPlatform>, locks::TtasLock<SimPlatform>,
     locks::BackoffTasLock<SimPlatform>, locks::TicketLock<SimPlatform>,

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "locks/cna_stats.h"
 #include "platform/real_platform.h"
 #include "platform/thread_context.h"
 #include "qspin/qspin_word.h"
@@ -177,6 +178,61 @@ TEST(Qspinlock, CnaSecondaryQueueReinstallsTail) {
   // waiters (t3, t5) from the secondary queue afterwards.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3, 5}));
   EXPECT_EQ(lock.RawValue(), 0u);
+}
+
+// CnaLock's default policy on the qspinlock's queue: handover mode, socket
+// tags and counters.  Test-only; the qspinlock's own configs run the paper's
+// base policy.
+struct QspinHandoverModeConfig : qspin::QspinCnaDefaultConfig {
+  static constexpr bool kShuffleReduction = true;
+  static constexpr bool kEncodeSocketInNext = true;
+  static constexpr bool kCollectStats = true;
+};
+
+TEST(Qspinlock, CnaRunsTheSharedHandoverPolicy) {
+  // 8 fibers on 2 sockets alternate heavy phases (every fiber) with light
+  // phases (4 fibers: the holder, the pending waiter, the queue head and one
+  // successor -- the fewest that give the head someone to pass to).  Heavy
+  // phases reorder the queue; light ones meet a lone remote waiter and
+  // switch to FIFO mode.
+  using L = qspin::QSpinLock<SimPlatform, qspin::SlowPathKind::kCna,
+                             QspinHandoverModeConfig>;
+  locks::GlobalCnaCounters().Reset();
+  sim::MachineConfig cfg;
+  cfg.topology = numa::Topology::Uniform(2, 4);
+  sim::Machine m(cfg);
+  L lock;
+  constexpr std::uint64_t kPhaseNs = 100'000;
+  constexpr std::uint64_t kPhases = 6;
+  int in_cs = 0;
+  bool violation = false;
+  for (int t = 0; t < 8; ++t) {
+    m.Spawn([&, t] {
+      sim::Machine* machine = sim::Machine::Active();
+      while (machine->NowNs() < kPhases * kPhaseNs) {
+        const std::uint64_t now = machine->NowNs();
+        const bool light = (now / kPhaseNs) % 2 == 1;
+        if (light && t >= 4) {
+          machine->AdvanceLocalWork(kPhaseNs - now % kPhaseNs);
+          continue;
+        }
+        lock.Lock();
+        violation |= (in_cs++ != 0);
+        machine->AdvanceLocalWork(100);
+        --in_cs;
+        lock.Unlock();
+        machine->AdvanceLocalWork(400 + machine->Random() % 200);
+      }
+    });
+  }
+  m.Run();
+  EXPECT_FALSE(violation);
+  EXPECT_EQ(lock.RawValue(), 0u);
+  const auto& c = locks::GlobalCnaCounters();
+  EXPECT_GT(c.fifo_handovers.load(), 0u);
+  EXPECT_GT(c.shuffle_skips.load(), 0u);
+  EXPECT_GT(c.queue_alterations.load(), 0u);
+  locks::GlobalCnaCounters().Reset();
 }
 
 TEST(Qspinlock, NestingTwoLocksUsesDistinctNodes) {

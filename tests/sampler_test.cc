@@ -10,12 +10,15 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/sharded_kv.h"
@@ -178,6 +181,25 @@ TEST(Sampler, RebaselineAfterRegistryReset) {
 // low-contention workload does not.
 // ---------------------------------------------------------------------------
 
+// Synthetic collapse: each tick completes fewer operations than the last
+// while the wait p99 climbs orders of magnitude -- the "more waiters, less
+// work" signature.  dt = 1 ms per tick keeps the mean rate far above the
+// idle floor.
+void DriveSyntheticCollapse(telemetry::Histogram& wait, Sampler& sampler,
+                            SaturationDetector& detector) {
+  const std::uint64_t counts[] = {4000, 3400, 2800, 2200, 1600, 1100, 700,
+                                  400};
+  const std::uint64_t waits[] = {1u << 10, 1u << 10, 1u << 11, 1u << 12,
+                                 1u << 14, 1u << 16, 1u << 19, 1u << 22};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::uint64_t n = 0; n < counts[i]; ++n) {
+      wait.Record(0, waits[i]);
+    }
+    sampler.Tick((static_cast<std::uint64_t>(i) + 1) * 1'000'000);
+    detector.Evaluate();
+  }
+}
+
 TEST(Saturation, OversubscribedCollapseTrips) {
   Registry registry;
   auto& wait = registry.GetHistogram("locktable.wait_ns");
@@ -192,21 +214,7 @@ TEST(Saturation, OversubscribedCollapseTrips) {
   int events = 0;
   detector.Subscribe([&](const telemetry::ConditionEvent&) { ++events; });
 
-  // Synthetic collapse: each tick completes fewer operations than the last
-  // while the wait p99 climbs orders of magnitude -- the "more waiters, less
-  // work" signature.  dt = 1 ms per tick keeps the mean rate far above the
-  // idle floor.
-  const std::uint64_t counts[] = {4000, 3400, 2800, 2200, 1600, 1100, 700,
-                                  400};
-  const std::uint64_t waits[] = {1u << 10, 1u << 10, 1u << 11, 1u << 12,
-                                 1u << 14, 1u << 16, 1u << 19, 1u << 22};
-  for (std::size_t i = 0; i < 8; ++i) {
-    for (std::uint64_t n = 0; n < counts[i]; ++n) {
-      wait.Record(0, waits[i]);
-    }
-    sampler.Tick((static_cast<std::uint64_t>(i) + 1) * 1'000'000);
-    detector.Evaluate();
-  }
+  DriveSyntheticCollapse(wait, sampler, detector);
 
   EXPECT_TRUE(detector.Active(Condition::kThroughputCollapse));
   EXPECT_TRUE(detector.Active(Condition::kWaitSpike));
@@ -214,6 +222,45 @@ TEST(Saturation, OversubscribedCollapseTrips) {
   EXPECT_GE(detector.Trips(Condition::kSaturated), 1u);
   EXPECT_GE(global_trips.Value(), trips_before + 1);  // exporter-visible
   EXPECT_GE(events, 1);                               // subscriber fired
+}
+
+// A subscriber may ask the detector about the edge it is being told of:
+// Evaluate() announces rising edges after releasing its lock.  The collapse
+// is driven on a helper thread, so a detector that calls subscribers under
+// its lock fails this test by timeout instead of hanging the suite.  On
+// timeout the helper stays blocked, and it keeps `rig` alive.
+TEST(Saturation, SubscriberMayQueryTheDetector) {
+  struct Rig {
+    Registry registry;
+    telemetry::Histogram& wait = registry.GetHistogram("locktable.wait_ns");
+    Sampler sampler{&registry, SamplerOptions{.capacity = 32}};
+    SaturationDetector detector{sampler, SaturationOptions{.window = 8}};
+    bool active_seen = false;
+    std::uint64_t trips_seen = 0;
+  };
+  auto rig = std::make_shared<Rig>();
+  rig->detector.Subscribe([r = rig.get()](const telemetry::ConditionEvent& ev) {
+    if (ev.condition == Condition::kSaturated) {
+      r->active_seen = r->detector.Active(Condition::kSaturated);
+      r->trips_seen = r->detector.Trips(Condition::kSaturated);
+    }
+  });
+
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread helper([rig, finished = std::move(finished)]() mutable {
+    DriveSyntheticCollapse(rig->wait, rig->sampler, rig->detector);
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    helper.detach();
+    FAIL() << "Evaluate() did not return: the subscriber's query blocked on "
+              "the detector's lock";
+  }
+  helper.join();
+  EXPECT_TRUE(rig->active_seen);
+  EXPECT_GE(rig->trips_seen, 1u);
+  EXPECT_EQ(rig->trips_seen, rig->detector.Trips(Condition::kSaturated));
 }
 
 TEST(Saturation, UniformLowContentionDoesNotTrip) {
