@@ -11,9 +11,11 @@
 
 #include "core/any_lock_table.h"
 #include "core/any_rwlock.h"
-#include "core/any_rwlock_table.h"
 #include "core/registry.h"
+#include "locktable/combining.h"
 #include "locktable/lock_table.h"
+#include "locktable/resizable_lock_table.h"
+#include "locktable/table_stats.h"
 #include "parking/parking_lot.h"
 #include "platform/real_platform.h"
 #include "telemetry/export.h"
@@ -35,28 +37,7 @@ struct cna_gcr {
 };
 
 struct cna_locktable {
-  cna_locktable(cna::core::LockKind kind, size_t stripes,
-                bool blocking = false)
-      : impl(cna::core::MakeLockTable<cna::RealPlatform>(
-            kind, cna::locktable::LockTableOptions{.stripes = stripes,
-                                                   .blocking = blocking})) {}
   std::unique_ptr<cna::core::AnyLockTable> impl;
-};
-
-struct cna_resizable {
-  cna_resizable(cna::core::LockKind kind, size_t stripes)
-      : impl(cna::core::MakeResizableLockTable<cna::RealPlatform>(
-            kind,
-            cna::locktable::ResizableLockTableOptions{.stripes = stripes, .policy = {}})) {}
-  std::unique_ptr<cna::core::AnyResizableLockTable> impl;
-};
-
-struct cna_combining {
-  cna_combining(cna::core::LockKind kind, size_t stripes)
-      : impl(cna::core::MakeCombiningTable<cna::RealPlatform>(
-            kind, cna::locktable::CombiningTableOptions{
-                      .stripes = stripes, .collect_stats = true})) {}
-  std::unique_ptr<cna::core::AnyCombiningTable> impl;
 };
 
 struct cna_rwlock {
@@ -65,26 +46,22 @@ struct cna_rwlock {
   std::unique_ptr<cna::core::AnyRwLock> impl;
 };
 
-struct cna_rwlocktable {
-  cna_rwlocktable(cna::core::RwLockKind kind, size_t stripes)
-      : impl(cna::core::MakeRwLockTable<cna::RealPlatform>(
-            kind, cna::locktable::LockTableOptions{.stripes = stripes})) {}
-  std::unique_ptr<cna::core::AnyRwLockTable> impl;
-};
-
 namespace {
 
 // No C++ exception may cross the extern "C" boundary.  Every lock/unlock
 // entry point runs through this barrier, mapping to pthread-style errno
 // codes: unlock-without-lock (logic_error) -> EPERM, oversized requests
-// (length_error -- caught first, it derives from logic_error) -> EINVAL,
-// allocation failure (ledger overflow nodes, multi-key scratch space) ->
-// ENOMEM, anything else -> EINVAL.
+// (length_error) and calls the table's flavor lacks (invalid_argument) ->
+// EINVAL -- both caught first, they derive from logic_error -- allocation
+// failure (ledger overflow nodes, multi-key stripe buffers) -> ENOMEM,
+// anything else -> EINVAL.
 template <typename F>
 int GuardedCall(F&& f) {
   try {
     return std::forward<F>(f)();
   } catch (const std::length_error&) {
+    return EINVAL;
+  } catch (const std::invalid_argument&) {
     return EINVAL;
   } catch (const std::logic_error&) {
     return EPERM;
@@ -93,6 +70,32 @@ int GuardedCall(F&& f) {
   } catch (...) {
     return EINVAL;
   }
+}
+
+// Wraps the table `make()` builds; nullptr when it throws (bad_alloc,
+// length_error for an absurd stripe count, invalid_argument for a kind the
+// flavor does not build), so no exception crosses extern "C".
+template <typename Make>
+cna_locktable_t* NewTable(Make&& make) {
+  try {
+    return new cna_locktable{make()};
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+// NewTable over the mutex kind named `lock_name`; nullptr for a null or
+// unknown name (reader-writer kinds included).
+template <typename Make>
+cna_locktable_t* NewTableOfKind(const char* lock_name, Make&& make) {
+  if (lock_name == nullptr) {
+    return nullptr;
+  }
+  const auto kind = cna::core::LockKindFromName(lock_name);
+  if (!kind.has_value()) {
+    return nullptr;
+  }
+  return NewTable([&] { return make(*kind); });
 }
 
 }  // namespace
@@ -258,43 +261,49 @@ cna_locktable_t* cna_locktable_create(const char* lock_name, size_t stripes) {
   if (lock_name == nullptr) {
     return nullptr;
   }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
+  const cna::locktable::LockTableOptions options{.stripes = stripes};
+  if (const auto kind = cna::core::LockKindFromName(lock_name)) {
+    return NewTable([&] {
+      return cna::core::MakeLockTable<cna::RealPlatform>(*kind, options);
+    });
   }
-  // The constructor allocates the stripe array; bad_alloc/length_error (e.g.
-  // an absurd stripe count) must surface as nullptr, not cross extern "C".
-  try {
-    return new (std::nothrow) cna_locktable(*kind, stripes);
-  } catch (...) {
-    return nullptr;
+  if (const auto kind = cna::core::RwLockKindFromName(lock_name)) {
+    return NewTable([&] {
+      return cna::core::MakeRwLockTable<cna::RealPlatform>(*kind, options);
+    });
   }
+  return nullptr;
 }
 
 cna_locktable_t* cna_locktable_create_default(size_t stripes) {
-  try {
-    return new (std::nothrow)
-        cna_locktable(cna::core::LockKind::kCna, stripes);
-  } catch (...) {
-    return nullptr;
-  }
+  return NewTable([&] {
+    return cna::core::MakeLockTable<cna::RealPlatform>(
+        cna::core::LockKind::kCna, {.stripes = stripes});
+  });
 }
 
 cna_locktable_t* cna_locktable_create_blocking(const char* lock_name,
                                                size_t stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow)
-        cna_locktable(*kind, stripes, /*blocking=*/true);
-  } catch (...) {
-    return nullptr;
-  }
+  return NewTableOfKind(lock_name, [&](cna::core::LockKind kind) {
+    return cna::core::MakeLockTable<cna::RealPlatform>(
+        kind, {.stripes = stripes, .blocking = true});
+  });
+}
+
+cna_locktable_t* cna_locktable_create_resizable(const char* lock_name,
+                                                size_t initial_stripes) {
+  return NewTableOfKind(lock_name, [&](cna::core::LockKind kind) {
+    return cna::core::MakeResizableLockTable<cna::RealPlatform>(
+        kind, {.stripes = initial_stripes, .policy = {}});
+  });
+}
+
+cna_locktable_t* cna_locktable_create_combining(const char* lock_name,
+                                                size_t stripes) {
+  return NewTableOfKind(lock_name, [&](cna::core::LockKind kind) {
+    return cna::core::MakeCombiningTable<cna::RealPlatform>(
+        kind, {.stripes = stripes, .collect_stats = true});
+  });
 }
 
 void cna_locktable_destroy(cna_locktable_t* table) { delete table; }
@@ -320,7 +329,7 @@ int cna_locktable_unlock(cna_locktable_t* table, uint64_t key) {
   if (table == nullptr) {
     return EINVAL;
   }
-  // EPERM when this thread does not hold the key's stripe.
+  // EPERM when this thread holds the key's stripe in neither mode.
   return GuardedCall([&] {
     table->impl->Unlock(key);
     return 0;
@@ -351,6 +360,56 @@ int cna_locktable_unlock_many(cna_locktable_t* table, const uint64_t* keys,
   });
 }
 
+int cna_locktable_rdlock(cna_locktable_t* table, uint64_t key) {
+  if (table == nullptr) {
+    return EINVAL;
+  }
+  return GuardedCall([&] {
+    table->impl->LockShared(key);
+    return 0;
+  });
+}
+
+int cna_locktable_tryrdlock(cna_locktable_t* table, uint64_t key) {
+  if (table == nullptr) {
+    return EINVAL;
+  }
+  return GuardedCall(
+      [&] { return table->impl->TryLockShared(key) ? 0 : EBUSY; });
+}
+
+int cna_locktable_resize(cna_locktable_t* table, size_t stripes) {
+  if (table == nullptr) {
+    return EINVAL;
+  }
+  return GuardedCall(
+      [&] { return table->impl->TryResize(stripes) ? 0 : EBUSY; });
+}
+
+int cna_locktable_apply(cna_locktable_t* table, uint64_t key,
+                        cna_locktable_fn fn, void* ctx) {
+  if (table == nullptr || fn == nullptr) {
+    return EINVAL;
+  }
+  return GuardedCall([&] {
+    table->impl->Apply(key, fn, ctx);
+    return 0;
+  });
+}
+
+int cna_locktable_apply_batch(cna_locktable_t* table, const uint64_t* keys,
+                              size_t count, cna_locktable_key_fn fn,
+                              void* ctx) {
+  if (table == nullptr || fn == nullptr ||
+      (keys == nullptr && count != 0)) {
+    return EINVAL;
+  }
+  return GuardedCall([&] {
+    table->impl->ApplyBatch(keys, count, fn, ctx);
+    return 0;
+  });
+}
+
 size_t cna_locktable_stripes(const cna_locktable_t* table) {
   return table == nullptr ? 0 : table->impl->Stripes();
 }
@@ -363,215 +422,21 @@ size_t cna_locktable_state_bytes(const cna_locktable_t* table) {
   return table == nullptr ? 0 : table->impl->LockStateBytes();
 }
 
-// ----------------------------- resizable table -----------------------------
-
-cna_resizable_t* cna_resizable_create(const char* lock_name,
-                                      size_t initial_stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_resizable(*kind, initial_stripes);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-cna_resizable_t* cna_resizable_create_default(size_t initial_stripes) {
-  try {
-    return new (std::nothrow)
-        cna_resizable(cna::core::LockKind::kCna, initial_stripes);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void cna_resizable_destroy(cna_resizable_t* table) { delete table; }
-
-int cna_resizable_lock(cna_resizable_t* table, uint64_t key) {
-  if (table == nullptr) {
+int cna_locktable_get_stats(const cna_locktable_t* table,
+                            cna_locktable_stats_t* out) {
+  if (table == nullptr || out == nullptr) {
     return EINVAL;
   }
-  return GuardedCall([&] {
-    table->impl->Lock(key);
-    return 0;
-  });
-}
-
-int cna_resizable_trylock(cna_resizable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] { return table->impl->TryLock(key) ? 0 : EBUSY; });
-}
-
-int cna_resizable_unlock(cna_resizable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread does not hold the key in any live snapshot.
-  return GuardedCall([&] {
-    table->impl->Unlock(key);
-    return 0;
-  });
-}
-
-int cna_resizable_lock_many(cna_resizable_t* table, const uint64_t* keys,
-                            size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockMany(keys, count);
-    return 0;
-  });
-}
-
-int cna_resizable_unlock_many(cna_resizable_t* table, const uint64_t* keys,
-                              size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->UnlockMany(keys, count);
-    return 0;
-  });
-}
-
-int cna_resizable_resize(cna_resizable_t* table, size_t stripes) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return table->impl->TryResize(stripes) ? 0 : EBUSY; });
-}
-
-size_t cna_resizable_stripes(const cna_resizable_t* table) {
-  return table == nullptr ? 0 : table->impl->Stripes();
-}
-
-size_t cna_resizable_stripe_of(const cna_resizable_t* table, uint64_t key) {
-  return table == nullptr ? 0 : table->impl->StripeOf(key);
-}
-
-size_t cna_resizable_state_bytes(const cna_resizable_t* table) {
-  return table == nullptr ? 0 : table->impl->LockStateBytes();
-}
-
-uint64_t cna_resizable_grows(const cna_resizable_t* table) {
-  return table == nullptr ? 0 : table->impl->Summary().grows;
-}
-
-uint64_t cna_resizable_shrinks(const cna_resizable_t* table) {
-  return table == nullptr ? 0 : table->impl->Summary().shrinks;
-}
-
-uint64_t cna_resizable_epoch_retired(const cna_resizable_t* table) {
-  return table == nullptr ? 0 : table->impl->Summary().epoch.retired;
-}
-
-uint64_t cna_resizable_epoch_reclaimed(const cna_resizable_t* table) {
-  return table == nullptr ? 0 : table->impl->Summary().epoch.reclaimed;
-}
-
-// ----------------------------- combining table -----------------------------
-
-cna_combining_t* cna_combining_create(const char* lock_name, size_t stripes) {
-  if (lock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::LockKindFromName(lock_name);
-  if (!kind.has_value() ||
-      !cna::core::SupportsCombining<cna::RealPlatform>(*kind)) {
-    return nullptr;
-  }
-  // bad_alloc and length_error surface as nullptr rather than crossing
-  // extern "C".
-  try {
-    return new (std::nothrow) cna_combining(*kind, stripes);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-cna_combining_t* cna_combining_create_default(size_t stripes) {
-  try {
-    return new (std::nothrow)
-        cna_combining(cna::core::LockKind::kCna, stripes);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void cna_combining_destroy(cna_combining_t* table) { delete table; }
-
-int cna_combining_apply(cna_combining_t* table, uint64_t key,
-                        cna_combining_fn fn, void* ctx) {
-  if (table == nullptr || fn == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->Apply(key, fn, ctx);
-    return 0;
-  });
-}
-
-int cna_combining_apply_batch(cna_combining_t* table, const uint64_t* keys,
-                              size_t count, cna_combining_key_fn fn,
-                              void* ctx) {
-  if (table == nullptr || fn == nullptr ||
-      (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->ApplyBatch(keys, count, fn, ctx);
-    return 0;
-  });
-}
-
-int cna_combining_lock(cna_combining_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->Lock(key);
-    return 0;
-  });
-}
-
-int cna_combining_unlock(cna_combining_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread does not hold the key's stripe.
-  return GuardedCall([&] {
-    table->impl->Unlock(key);
-    return 0;
-  });
-}
-
-size_t cna_combining_stripes(const cna_combining_t* table) {
-  return table == nullptr ? 0 : table->impl->Stripes();
-}
-
-size_t cna_combining_stripe_of(const cna_combining_t* table, uint64_t key) {
-  return table == nullptr ? 0 : table->impl->StripeOf(key);
-}
-
-size_t cna_combining_state_bytes(const cna_combining_t* table) {
-  return table == nullptr ? 0 : table->impl->LockStateBytes();
-}
-
-uint64_t cna_combining_pass_through_ops(const cna_combining_t* table) {
-  return table == nullptr ? 0 : table->impl->CombiningSummary().pass_through;
-}
-
-uint64_t cna_combining_combined_ops(const cna_combining_t* table) {
-  return table == nullptr ? 0 : table->impl->CombiningSummary().combined;
+  const cna::locktable::ResizableStatsSummary r = table->impl->ResizeSummary();
+  const cna::locktable::CombiningStatsSummary c =
+      table->impl->CombiningSummary();
+  out->grows = r.grows;
+  out->shrinks = r.shrinks;
+  out->epoch_retired = r.epoch.retired;
+  out->epoch_reclaimed = r.epoch.reclaimed;
+  out->pass_through_ops = c.pass_through;
+  out->combined_ops = c.combined;
+  return 0;
 }
 
 // --------------------------- reader-writer lock ----------------------------
@@ -649,119 +514,6 @@ int cna_rwlock_unlock(cna_rwlock_t* rwlock) {
 
 size_t cna_rwlock_state_bytes(const cna_rwlock_t* rwlock) {
   return rwlock == nullptr ? 0 : rwlock->impl->StateBytes();
-}
-
-// ------------------------ reader-writer lock table -------------------------
-
-cna_rwlocktable_t* cna_rwlocktable_create(const char* rwlock_name,
-                                          size_t stripes) {
-  if (rwlock_name == nullptr) {
-    return nullptr;
-  }
-  const auto kind = cna::core::RwLockKindFromName(rwlock_name);
-  if (!kind.has_value()) {
-    return nullptr;
-  }
-  try {
-    return new (std::nothrow) cna_rwlocktable(*kind, stripes);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-cna_rwlocktable_t* cna_rwlocktable_create_default(size_t stripes) {
-  try {
-    return new (std::nothrow)
-        cna_rwlocktable(cna::core::RwLockKind::kCnaRwCompact, stripes);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void cna_rwlocktable_destroy(cna_rwlocktable_t* table) { delete table; }
-
-int cna_rwlocktable_rdlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockShared(key);
-    return 0;
-  });
-}
-
-int cna_rwlocktable_tryrdlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return table->impl->TryLockShared(key) ? 0 : EBUSY; });
-}
-
-int cna_rwlocktable_wrlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->Lock(key);
-    return 0;
-  });
-}
-
-int cna_rwlocktable_trywrlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  return GuardedCall(
-      [&] { return table->impl->TryLock(key) ? 0 : EBUSY; });
-}
-
-int cna_rwlocktable_unlock(cna_rwlocktable_t* table, uint64_t key) {
-  if (table == nullptr) {
-    return EINVAL;
-  }
-  // EPERM when this thread holds the key's stripe in neither mode.
-  return GuardedCall([&] {
-    table->impl->UnlockAny(key);
-    return 0;
-  });
-}
-
-int cna_rwlocktable_wrlock_many(cna_rwlocktable_t* table,
-                                const uint64_t* keys, size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  return GuardedCall([&] {
-    table->impl->LockMany(keys, count);
-    return 0;
-  });
-}
-
-int cna_rwlocktable_unlock_many(cna_rwlocktable_t* table,
-                                const uint64_t* keys, size_t count) {
-  if (table == nullptr || (keys == nullptr && count != 0)) {
-    return EINVAL;
-  }
-  // EPERM when some stripe in the set is not held exclusively; the checked
-  // release verifies the whole set first, so nothing is half-released.
-  return GuardedCall([&] {
-    table->impl->UnlockMany(keys, count);
-    return 0;
-  });
-}
-
-size_t cna_rwlocktable_stripes(const cna_rwlocktable_t* table) {
-  return table == nullptr ? 0 : table->impl->Stripes();
-}
-
-size_t cna_rwlocktable_stripe_of(const cna_rwlocktable_t* table,
-                                 uint64_t key) {
-  return table == nullptr ? 0 : table->impl->StripeOf(key);
-}
-
-size_t cna_rwlocktable_state_bytes(const cna_rwlocktable_t* table) {
-  return table == nullptr ? 0 : table->impl->LockStateBytes();
 }
 
 int cna_parking_get_stats(cna_parking_stats_t* out) {

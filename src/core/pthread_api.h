@@ -4,14 +4,19 @@
 // to the POSIX pthread API" so it can be interposed under unmodified programs
 // (Section 1, Section 7).  This header is that surface: opaque mutex objects
 // with create/destroy/lock/trylock/unlock, selectable by lock name, usable
-// from C.  cna_mutex_t with kind "cna" is the library's flagship object.
+// from C (C99 or later) and C++.  cna_mutex_t with kind "cna" is the
+// library's flagship object.  The library itself is C++: link a C program
+// with the C++ compiler (or add the C++ runtime), e.g.
+//   cc -std=c11 -I src -c app.c && c++ app.o libcna_core.a -lpthread
 #ifndef CNA_CORE_PTHREAD_API_H_
 #define CNA_CORE_PTHREAD_API_H_
 
-#include <cstddef>
-#include <cstdint>
+#include <stddef.h>
+#include <stdint.h>
 
+#ifdef __cplusplus
 extern "C" {
+#endif
 
 typedef struct cna_mutex cna_mutex_t;
 
@@ -84,48 +89,113 @@ int cna_gcr_get_stats(const cna_gcr_t* gcr, cna_gcr_stats_t* out);
 size_t cna_gcr_state_bytes(const cna_gcr_t* gcr);
 
 // ---------------------------------------------------------------------------
-// Sharded lock table (src/locktable/): a futex-style dynamic lock namespace.
-// Arbitrary 64-bit keys hash onto `stripes` one-word locks (rounded up to a
-// power of two); keys on the same stripe serialize, keys on different stripes
-// run in parallel.  Lock/unlock calls must balance per thread.
+// Lock tables (src/locktable/): a futex-style dynamic lock namespace.
+// Arbitrary 64-bit keys hash onto `stripes` locks (rounded up to a power of
+// two); keys on the same stripe serialize, keys on different stripes run in
+// parallel.  Lock/unlock calls must balance per thread.
+//
+// One handle type serves every table flavor; the create call picks it:
+//   cna_locktable_create            fixed table of a mutex kind ("cna",
+//                                   "mcs", ...) or of a reader-writer kind
+//                                   ("cna-rw", "cna-rw-compact")
+//   cna_locktable_create_blocking   fixed table whose waiters spin a short
+//                                   budget, then park (mutex kinds)
+//   cna_locktable_create_resizable  adaptive stripe count (mutex kinds)
+//   cna_locktable_create_combining  flat combining (mutex kinds with a
+//                                   try-lock path)
+// Every create returns NULL for a NULL or unknown name, for a kind the
+// flavor does not build, and when allocation fails.  Every call returning
+// int returns EINVAL for a NULL table and for a call the table's flavor
+// lacks -- rdlock/tryrdlock need reader-writer stripes, resize a resizable
+// table, apply/apply_batch a combining table, and a combining table has no
+// trylock, lock_many or unlock_many -- and ENOMEM when an allocation fails.
 // ---------------------------------------------------------------------------
 
 typedef struct cna_locktable cna_locktable_t;
 
-// Creates a lock table of `stripes` locks of the named kind ("cna", "mcs",
-// ...).  Returns nullptr if the name is unknown.
+// Creates a fixed table of `stripes` locks of the named kind.
 cna_locktable_t* cna_locktable_create(const char* lock_name, size_t stripes);
 
-// Creates a lock table backed by the default lock (CNA).
+// Creates a fixed table backed by the default lock (CNA).
 cna_locktable_t* cna_locktable_create_default(size_t stripes);
 
-// Creates a *blocking* lock table of the named kind: a waiter that loses the
-// stripe spins a short budget, then parks in the process-global parking lot
+// Creates a *blocking* table: a waiter that loses the stripe spins a short
+// budget, then parks in the process-global parking lot
 // (src/parking/parking_lot.h) until a releasing thread wakes it -- futex
 // semantics instead of unbounded spinning, for oversubscribed deployments.
-// GCR-wrapped kinds park on their own passive lists instead of the generic
-// wrapper.  Returns nullptr if the name is unknown.
 cna_locktable_t* cna_locktable_create_blocking(const char* lock_name,
                                                size_t stripes);
 
+// Creates a *resizable* table starting at `initial_stripes`
+// (src/locktable/resizable_lock_table.h).  The stripe array grows and
+// shrinks by power-of-two doubling as the built-in policy watches per-stripe
+// contention; old arrays are reclaimed through the epoch subsystem, so lock
+// and unlock calls remain valid across resizes (a thread that locked before
+// a resize unlocks the same critical section after it).  stripes, stripe_of
+// and state_bytes describe the *current* array and are advisory under
+// concurrent resizing.  Nested single-key lock calls must not be used for
+// multi-key critical sections: during a migration two keys conflict
+// whenever they conflict in either the old or the new geometry.
+cna_locktable_t* cna_locktable_create_resizable(const char* lock_name,
+                                                size_t initial_stripes);
+
+// Creates a *flat-combining* table (src/locktable/combining.h): batch
+// execution over the stripes through cna_locktable_apply.  Combining tables
+// keep their pass-through/combined counters (cna_locktable_get_stats).
+cna_locktable_t* cna_locktable_create_combining(const char* lock_name,
+                                                size_t stripes);
+
 void cna_locktable_destroy(cna_locktable_t* table);
 
-// Return 0 on success (pthread convention).
+// Takes key's stripe exclusively.  Returns 0 on success (pthread
+// convention).
 int cna_locktable_lock(cna_locktable_t* table, uint64_t key);
-// Returns 0 on success, EBUSY if the stripe is held or try-lock is
-// unsupported by the underlying lock.
+// Returns 0 on success, EBUSY if the stripe is held (or, resizable, mid-
+// migration) or try-lock is unsupported by the underlying lock.
 int cna_locktable_trylock(cna_locktable_t* table, uint64_t key);
-// Returns 0 on success, EPERM if the calling thread does not hold the key's
-// stripe.
+// Releases the calling thread's newest hold of key's stripe, in whichever
+// mode it was taken.  On a combining table it first runs the operations
+// published on the stripe.  Returns 0 on success, EPERM if the thread holds
+// the stripe in neither mode.
 int cna_locktable_unlock(cna_locktable_t* table, uint64_t key);
 
-// Multi-key transactions: locks the distinct stripes of keys[0..count) in a
-// globally consistent (ascending-stripe) order, so concurrent multi-key
-// callers cannot deadlock.  Pass the same key set to unlock.
+// Multi-key transactions: locks the distinct stripes of keys[0..count)
+// exclusively in a globally consistent (ascending-stripe) order, so
+// concurrent multi-key callers cannot deadlock.  Pass the same key set to
+// unlock.  unlock_many returns EPERM, releasing nothing, when some stripe of
+// the set is not held exclusively by the calling thread.
 int cna_locktable_lock_many(cna_locktable_t* table, const uint64_t* keys,
                             size_t count);
 int cna_locktable_unlock_many(cna_locktable_t* table, const uint64_t* keys,
                               size_t count);
+
+// Reader side of reader-writer stripes: readers of one stripe run
+// concurrently; release with cna_locktable_unlock.  tryrdlock returns EBUSY
+// if a writer holds or is waiting on the stripe.
+int cna_locktable_rdlock(cna_locktable_t* table, uint64_t key);
+int cna_locktable_tryrdlock(cna_locktable_t* table, uint64_t key);
+
+// Manual resize attempt (clamped to the policy's power-of-two bounds).
+// Returns 0 if a resize ran, EBUSY if another resize was in flight or the
+// size would not change.
+int cna_locktable_resize(cna_locktable_t* table, size_t stripes);
+
+typedef void (*cna_locktable_fn)(void* ctx);
+typedef void (*cna_locktable_key_fn)(void* ctx, uint64_t key);
+
+// Runs fn(ctx) under key's stripe -- possibly on another thread currently
+// acting as the stripe's combiner -- and returns after it ran exactly once;
+// its side effects are visible to the caller on return.  fn must not
+// re-enter the same table on the same key's stripe and must not
+// longjmp/throw.  Returns 0 on success, EINVAL for a NULL fn.
+int cna_locktable_apply(cna_locktable_t* table, uint64_t key,
+                        cna_locktable_fn fn, void* ctx);
+
+// Runs fn(ctx, key) for every key (duplicates included), grouped so each
+// distinct stripe is acquired once.  Not atomic across stripes.
+int cna_locktable_apply_batch(cna_locktable_t* table, const uint64_t* keys,
+                              size_t count, cna_locktable_key_fn fn,
+                              void* ctx);
 
 // Number of stripes (power of two), and the stripe a key hashes to.
 size_t cna_locktable_stripes(const cna_locktable_t* table);
@@ -135,113 +205,24 @@ size_t cna_locktable_stripe_of(const cna_locktable_t* table, uint64_t key);
 // stripe -- a million-stripe table is 8 MiB).
 size_t cna_locktable_state_bytes(const cna_locktable_t* table);
 
-// ---------------------------------------------------------------------------
-// Resizable lock table (src/locktable/resizable_lock_table.h): the adaptive
-// counterpart of cna_locktable_*.  The stripe array grows and shrinks by
-// power-of-two doubling as the built-in policy watches per-stripe contention;
-// old arrays are reclaimed through the epoch subsystem, so lock/unlock calls
-// remain valid across resizes (a thread that locked before a resize unlocks
-// the same critical section after it).  cna_resizable_stripes reports the
-// *current* stripe count and is advisory under concurrent resizing.
-// ---------------------------------------------------------------------------
+// Flavor counters.  A count the table's flavor does not keep reads zero.
+typedef struct cna_locktable_stats {
+  uint64_t grows;            /* resizable: resizes that grew the array */
+  uint64_t shrinks;          /* resizable: resizes that shrank it */
+  uint64_t epoch_retired;    /* resizable: old arrays retired to the epoch
+                                subsystem */
+  uint64_t epoch_reclaimed;  /* resizable: retired arrays freed so far */
+  uint64_t pass_through_ops; /* combining: operations run by their own
+                                submitter */
+  uint64_t combined_ops;     /* combining: operations a combiner ran on
+                                another thread's behalf; with
+                                pass_through_ops, every apply/apply_batch
+                                operation completed */
+} cna_locktable_stats_t;
 
-typedef struct cna_resizable cna_resizable_t;
-
-// Creates a resizable table of the named kind starting at `initial_stripes`
-// (rounded up to a power of two).  Returns nullptr if the name is unknown.
-cna_resizable_t* cna_resizable_create(const char* lock_name,
-                                      size_t initial_stripes);
-
-// Creates a resizable table backed by the default lock (CNA).
-cna_resizable_t* cna_resizable_create_default(size_t initial_stripes);
-
-void cna_resizable_destroy(cna_resizable_t* table);
-
-// Return 0 on success (pthread convention).
-int cna_resizable_lock(cna_resizable_t* table, uint64_t key);
-// Returns 0 on success, EBUSY if the stripe is held, mid-migration, or
-// try-lock is unsupported by the underlying lock.
-int cna_resizable_trylock(cna_resizable_t* table, uint64_t key);
-// Returns 0 on success, EPERM if the calling thread does not hold the key.
-int cna_resizable_unlock(cna_resizable_t* table, uint64_t key);
-
-// Multi-key transactions, deadlock-free as in cna_locktable_*.  Nested
-// single-key lock calls must not be used for multi-key critical sections:
-// during a migration two keys conflict whenever they conflict in either the
-// old or the new geometry.
-int cna_resizable_lock_many(cna_resizable_t* table, const uint64_t* keys,
-                            size_t count);
-int cna_resizable_unlock_many(cna_resizable_t* table, const uint64_t* keys,
-                              size_t count);
-
-// Manual resize attempt (clamped to the policy's power-of-two bounds).
-// Returns 0 if a resize ran, EBUSY if another resize was in flight or the
-// size would not change.
-int cna_resizable_resize(cna_resizable_t* table, size_t stripes);
-
-// Current stripe count / key mapping / lock-state footprint (advisory under
-// concurrent resizing).
-size_t cna_resizable_stripes(const cna_resizable_t* table);
-size_t cna_resizable_stripe_of(const cna_resizable_t* table, uint64_t key);
-size_t cna_resizable_state_bytes(const cna_resizable_t* table);
-
-// Resize/reclamation observability: grows + shrinks completed, snapshots
-// retired to the epoch subsystem, and snapshots actually reclaimed so far.
-uint64_t cna_resizable_grows(const cna_resizable_t* table);
-uint64_t cna_resizable_shrinks(const cna_resizable_t* table);
-uint64_t cna_resizable_epoch_retired(const cna_resizable_t* table);
-uint64_t cna_resizable_epoch_reclaimed(const cna_resizable_t* table);
-
-// ---------------------------------------------------------------------------
-// Flat-combining table (src/locktable/combining.h): batch execution over the
-// lock-table stripes.  cna_combining_apply runs fn(ctx) under the key's
-// stripe -- possibly on another thread currently acting as the stripe's
-// combiner -- and returns after it ran exactly once; its side effects are
-// visible to the caller on return.  fn must not re-enter the same table on
-// the same key's stripe and must not longjmp/throw.  Combining tables are
-// created with the per-stripe combined/pass-through counters enabled.
-// ---------------------------------------------------------------------------
-
-typedef struct cna_combining cna_combining_t;
-
-typedef void (*cna_combining_fn)(void* ctx);
-typedef void (*cna_combining_key_fn)(void* ctx, uint64_t key);
-
-// Creates a combining table of `stripes` locks of the named kind.  Returns
-// nullptr if the name is unknown or the lock has no try-lock path (flat
-// combining needs the stripe fast path).
-cna_combining_t* cna_combining_create(const char* lock_name, size_t stripes);
-
-// Creates a combining table backed by the default lock (CNA).
-cna_combining_t* cna_combining_create_default(size_t stripes);
-
-void cna_combining_destroy(cna_combining_t* table);
-
-// Returns 0 on success (fn ran exactly once), EINVAL on bad arguments.
-int cna_combining_apply(cna_combining_t* table, uint64_t key,
-                        cna_combining_fn fn, void* ctx);
-
-// Runs fn(ctx, key) for every key (duplicates included), grouped so each
-// distinct stripe is acquired once.  Not atomic across stripes.
-int cna_combining_apply_batch(cna_combining_t* table, const uint64_t* keys,
-                              size_t count, cna_combining_key_fn fn,
-                              void* ctx);
-
-// Plain critical sections that coexist with apply callers; unlock drains the
-// stripe's publication list before releasing (the lock holder is a combiner
-// too).  Returns 0 on success, EPERM on unlock without a matching lock.
-int cna_combining_lock(cna_combining_t* table, uint64_t key);
-int cna_combining_unlock(cna_combining_t* table, uint64_t key);
-
-size_t cna_combining_stripes(const cna_combining_t* table);
-size_t cna_combining_stripe_of(const cna_combining_t* table, uint64_t key);
-size_t cna_combining_state_bytes(const cna_combining_t* table);
-
-// Aggregate counters: operations run by their own submitter (pass-through)
-// vs. by a combiner on another thread's behalf.  Their sum is the number of
-// apply/apply_batch operations completed against the table.
-uint64_t cna_combining_pass_through_ops(const cna_combining_t* table);
-uint64_t cna_combining_combined_ops(const cna_combining_t* table);
+// Fills *out; returns 0, or EINVAL on null arguments.
+int cna_locktable_get_stats(const cna_locktable_t* table,
+                            cna_locktable_stats_t* out);
 
 // ---------------------------------------------------------------------------
 // Reader-writer locks (src/locks/cna_rwlock.h): pthread_rwlock-shaped surface
@@ -274,51 +255,6 @@ int cna_rwlock_unlock(cna_rwlock_t* rwlock);
 
 // sizeof of the shared lock state ("cna-rw-compact": one 8-byte word).
 size_t cna_rwlock_state_bytes(const cna_rwlock_t* rwlock);
-
-// ---------------------------------------------------------------------------
-// Sharded reader-writer lock table (src/locktable/rw_lock_table.h): the
-// read-mostly counterpart of cna_locktable_*.  Keys hash onto `stripes`
-// reader-writer locks; readers of one stripe run concurrently, a writer of a
-// stripe is exclusive.  rd/wr lock-unlock calls must balance per thread.
-// ---------------------------------------------------------------------------
-
-typedef struct cna_rwlocktable cna_rwlocktable_t;
-
-// Creates a table of `stripes` rwlocks of the named kind ("cna-rw",
-// "cna-rw-compact").  Returns nullptr if the name is unknown.
-cna_rwlocktable_t* cna_rwlocktable_create(const char* rwlock_name,
-                                          size_t stripes);
-
-// Creates a table backed by the default compact kind (cna-rw-compact: one
-// 8-byte word per stripe -- the table-embedding layout).
-cna_rwlocktable_t* cna_rwlocktable_create_default(size_t stripes);
-
-void cna_rwlocktable_destroy(cna_rwlocktable_t* table);
-
-// Return 0 on success (pthread convention).
-int cna_rwlocktable_rdlock(cna_rwlocktable_t* table, uint64_t key);
-// Returns 0 on success, EBUSY if a writer holds or is waiting on the stripe.
-int cna_rwlocktable_tryrdlock(cna_rwlocktable_t* table, uint64_t key);
-int cna_rwlocktable_wrlock(cna_rwlocktable_t* table, uint64_t key);
-// Returns 0 on success, EBUSY if the stripe is held in either mode.
-int cna_rwlocktable_trywrlock(cna_rwlocktable_t* table, uint64_t key);
-// Releases the key's stripe in whichever mode the calling thread holds it.
-// Returns 0 on success, EPERM if the thread holds it in neither mode.
-int cna_rwlocktable_unlock(cna_rwlocktable_t* table, uint64_t key);
-
-// Multi-key exclusive transactions, ascending-stripe deadlock-free order.
-int cna_rwlocktable_wrlock_many(cna_rwlocktable_t* table,
-                                const uint64_t* keys, size_t count);
-int cna_rwlocktable_unlock_many(cna_rwlocktable_t* table,
-                                const uint64_t* keys, size_t count);
-
-size_t cna_rwlocktable_stripes(const cna_rwlocktable_t* table);
-size_t cna_rwlocktable_stripe_of(const cna_rwlocktable_t* table,
-                                 uint64_t key);
-
-// Total bytes of shared lock state backing the namespace (cna-rw-compact:
-// one 8-byte word per stripe).
-size_t cna_rwlocktable_state_bytes(const cna_rwlocktable_t* table);
 
 // ---------------------------------------------------------------------------
 // Parking lot (src/parking/parking_lot.h): the process-global blocking layer
@@ -448,6 +384,8 @@ char* cna_lockdep_folded(int weight_by_wait);
 // Clears the graph, witnesses, and counters (interned names survive).
 void cna_lockdep_reset(void);
 
+#ifdef __cplusplus
 }  // extern "C"
+#endif
 
 #endif  // CNA_CORE_PTHREAD_API_H_

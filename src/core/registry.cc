@@ -1,5 +1,8 @@
 #include "core/registry.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "platform/real_platform.h"
 
 namespace cna::core {
@@ -197,23 +200,6 @@ AdaptiveShardedMutex::AdaptiveShardedMutex(std::string_view name,
   impl_ = MakeResizableLockTable<RealPlatform>(
       *kind, locktable::ResizableLockTableOptions{.stripes = initial_stripes,
                                               .policy = {}});
-}
-
-ShardedCombiner::ShardedCombiner(LockKind kind, std::size_t stripes)
-    : impl_(MakeCombiningTable<RealPlatform>(
-          kind, locktable::CombiningTableOptions{.stripes = stripes,
-                                                 .collect_stats = true})) {}
-
-ShardedCombiner::ShardedCombiner(std::string_view name, std::size_t stripes) {
-  auto kind = LockKindFromName(name);
-  if (!kind.has_value()) {
-    throw std::invalid_argument(
-        "cna::core::ShardedCombiner: unknown lock name \"" +
-        std::string(name) + "\"");
-  }
-  impl_ = MakeCombiningTable<RealPlatform>(
-      *kind, locktable::CombiningTableOptions{.stripes = stripes,
-                                              .collect_stats = true});
 }
 
 SharedMutex::SharedMutex(RwLockKind kind)

@@ -75,8 +75,8 @@ void LockStatRegistry::RecordSite(SiteId id, bool contended) {
   }
 }
 
-void LockStatRegistry::Record(const std::string& lock_name,
-                              const std::string& call_site, bool contended) {
+void LockStatRegistry::Record(std::string_view lock_name,
+                              std::string_view call_site, bool contended) {
   const std::uint32_t h = HashPair(lock_name, call_site);
   const std::uint64_t tag = static_cast<std::uint64_t>(h) << 32;
   const std::size_t mask = kHashSlots - 1;

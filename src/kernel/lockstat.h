@@ -79,7 +79,7 @@ class LockStatRegistry {
 
   // String-keyed compatibility surface; steady state resolves the pair
   // through a lock-free hash and then behaves exactly like RecordSite.
-  void Record(const std::string& lock_name, const std::string& call_site,
+  void Record(std::string_view lock_name, std::string_view call_site,
               bool contended);
 
   // Zeroes all counters.  Interned sites and ids survive (never-recorded

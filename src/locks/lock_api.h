@@ -71,80 +71,78 @@ constexpr const char* LockdepClassNameOf() {
   }
 }
 
-// RAII guard: owns a handle and the critical section.
+// The platform P a lock class runs on: every lock in src/locks/ and
+// src/qspin/ takes it as its first template argument (QSpinLock and
+// PartitionedTicketLock follow it with a value parameter).
+template <typename L>
+struct PlatformOf;
+template <template <typename, typename...> class T, typename P,
+          typename... Rest>
+struct PlatformOf<T<P, Rest...>> {
+  using type = P;
+};
+template <template <typename, auto, typename...> class T, typename P,
+          auto kValue, typename... Rest>
+struct PlatformOf<T<P, kValue, Rest...>> {
+  using type = P;
+};
+
+// RAII guard: owns a handle and the critical section, held exclusively
+// (ScopedLock) or shared (ScopedSharedLock, the reader side of a
+// reader-writer lock).  Lockdep records the hold under P::CpuId() and
+// P::NowNs(), the context id and clock the lock tables and
+// core::LockAdapter record under: a guard and a stripe taken by one thread
+// or simulator fiber land on the same held stack, never on another
+// context's.
+template <typename L, bool kShared>
+class ScopedHold {
+  using P = typename PlatformOf<L>::type;
+
+ public:
+  explicit ScopedHold(L& lock) : lock_(lock) {
+    if constexpr (kShared) {
+      lock_.LockShared(handle_);
+    } else {
+      lock_.Lock(handle_);
+    }
+    if (telemetry::lockdep::Enabled()) {
+      static const int cls =
+          telemetry::lockdep::InternClass(LockdepClassNameOf<L>());
+      static const int site = telemetry::lockdep::InternSite(
+          kShared ? "ScopedSharedLock" : "ScopedLock");
+      cls_ = cls;
+      telemetry::lockdep::OnAcquired(
+          P::CpuId(), cls, site, reinterpret_cast<std::uintptr_t>(&lock_),
+          /*trylock=*/false, kShared, /*nested=*/false,
+          /*wait_ns=*/0, P::NowNs());
+    }
+  }
+  ~ScopedHold() {
+    if (cls_ >= 0 && telemetry::lockdep::Enabled()) {
+      telemetry::lockdep::OnReleased(
+          P::CpuId(), cls_, reinterpret_cast<std::uintptr_t>(&lock_),
+          P::NowNs());
+    }
+    if constexpr (kShared) {
+      lock_.UnlockShared(handle_);
+    } else {
+      lock_.Unlock(handle_);
+    }
+  }
+
+  ScopedHold(const ScopedHold&) = delete;
+  ScopedHold& operator=(const ScopedHold&) = delete;
+
+ private:
+  L& lock_;
+  typename L::Handle handle_;
+  int cls_ = -1;  // -1 => lockdep was off at acquisition
+};
+
 template <Lockable L>
-class ScopedLock {
- public:
-  explicit ScopedLock(L& lock) : lock_(lock) {
-    lock_.Lock(handle_);
-    if (telemetry::lockdep::Enabled()) {
-      static const int cls =
-          telemetry::lockdep::InternClass(LockdepClassNameOf<L>());
-      static const int site = telemetry::lockdep::InternSite("ScopedLock");
-      ctx_ = telemetry::SelfShard();
-      cls_ = cls;
-      telemetry::lockdep::OnAcquired(
-          ctx_, cls, site, reinterpret_cast<std::uintptr_t>(&lock_),
-          /*trylock=*/false, /*shared=*/false, /*nested=*/false,
-          /*wait_ns=*/0, telemetry::NowNs());
-    }
-  }
-  ~ScopedLock() {
-    if (cls_ >= 0 && telemetry::lockdep::Enabled()) {
-      telemetry::lockdep::OnReleased(
-          ctx_, cls_, reinterpret_cast<std::uintptr_t>(&lock_),
-          telemetry::NowNs());
-    }
-    lock_.Unlock(handle_);
-  }
-
-  ScopedLock(const ScopedLock&) = delete;
-  ScopedLock& operator=(const ScopedLock&) = delete;
-
- private:
-  L& lock_;
-  typename L::Handle handle_;
-  int ctx_ = 0;
-  int cls_ = -1;  // -1 => lockdep was off at acquisition
-};
-
-// RAII guard for the shared (reader) side of a reader-writer lock.
+using ScopedLock = ScopedHold<L, /*kShared=*/false>;
 template <SharedLockable L>
-class ScopedSharedLock {
- public:
-  explicit ScopedSharedLock(L& lock) : lock_(lock) {
-    lock_.LockShared(handle_);
-    if (telemetry::lockdep::Enabled()) {
-      static const int cls =
-          telemetry::lockdep::InternClass(LockdepClassNameOf<L>());
-      static const int site =
-          telemetry::lockdep::InternSite("ScopedSharedLock");
-      ctx_ = telemetry::SelfShard();
-      cls_ = cls;
-      telemetry::lockdep::OnAcquired(
-          ctx_, cls, site, reinterpret_cast<std::uintptr_t>(&lock_),
-          /*trylock=*/false, /*shared=*/true, /*nested=*/false,
-          /*wait_ns=*/0, telemetry::NowNs());
-    }
-  }
-  ~ScopedSharedLock() {
-    if (cls_ >= 0 && telemetry::lockdep::Enabled()) {
-      telemetry::lockdep::OnReleased(
-          ctx_, cls_, reinterpret_cast<std::uintptr_t>(&lock_),
-          telemetry::NowNs());
-    }
-    lock_.UnlockShared(handle_);
-  }
-
-  ScopedSharedLock(const ScopedSharedLock&) = delete;
-  ScopedSharedLock& operator=(const ScopedSharedLock&) = delete;
-
- private:
-  L& lock_;
-  typename L::Handle handle_;
-  int ctx_ = 0;
-  int cls_ = -1;  // -1 => lockdep was off at acquisition
-};
+using ScopedSharedLock = ScopedHold<L, /*kShared=*/true>;
 
 }  // namespace cna::locks
 

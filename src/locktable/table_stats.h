@@ -3,10 +3,7 @@
 // Follows the cna_stats.h pattern: counters are diagnostics, not simulated
 // state -- they live in plain std::atomic cells (never P::Atomic), so the
 // simulator charges nothing for them and the default stats-off path carries
-// zero instrumentation.  When the table's lock type is a CNA configured with
-// kCollectStats, the summary additionally snapshots the process-global CNA
-// event counters (cna_stats.h), tying per-stripe contention back to the
-// paper's Section 7.1.1 queue-alteration statistics.
+// zero instrumentation.
 //
 // Layout.  A stripe's cell holds only the two counts that something reads
 // per stripe (occupancy, the hottest stripe, the resize policy and GCR's
@@ -28,7 +25,6 @@
 #include <memory>
 
 #include "base/cacheline.h"
-#include "locks/cna_stats.h"
 #include "locktable/held_ledger.h"
 #include "locktable/stripe_array.h"
 
@@ -103,8 +99,7 @@ struct alignas(kCacheLineSize) TableTotals {
   std::atomic<std::uint64_t> multi_key{0};
 };
 
-// Aggregated view over all stripes plus the global CNA event counters.
-// Acquisition counts cover both modes.
+// Aggregated view over all stripes.  Acquisition counts cover both modes.
 struct TableStatsSummary {
   std::uint64_t total_acquisitions = 0;
   std::uint64_t contended_acquisitions = 0;
@@ -118,13 +113,6 @@ struct TableStatsSummary {
   std::size_t stripes = 0;
   std::size_t occupied_stripes = 0;       // stripes with >= 1 acquisition
   std::uint64_t max_stripe_acquisitions = 0;  // hottest stripe
-
-  // Full snapshot of locks::GlobalCnaCounters() (meaningful when the table's
-  // lock is a CNA variant with Cfg::kCollectStats).  The whole struct is
-  // snapshotted so counters added to CnaEventCounters cannot silently drift
-  // out of this summary (fifo_handovers/shuffle_skips/queue_alterations/
-  // waiters_moved used to be dropped here).
-  locks::CnaCountersSnapshot cna;
 
   double Occupancy() const {
     return stripes == 0 ? 0.0
@@ -220,7 +208,6 @@ class TableStats : public StripeStatsArrays<StripeCounters, TableTotals> {
           out.contended_acquisitions -
           std::min(exclusive_contended, out.contended_acquisitions);
     }
-    out.cna = locks::SnapshotCnaCounters();
     return out;
   }
 };

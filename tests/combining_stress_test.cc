@@ -158,14 +158,14 @@ TEST(CombiningStress, BatchesInterleaveWithSingleOps) {
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kThreads) * kBatches * 4);
 }
 
-// C-surface round trip, concurrent: the cna_combining_* API drives the same
-// machinery from plain function pointers.
+// C-surface round trip, concurrent: cna_locktable_* over a combining table
+// drives the same machinery from plain function pointers.
 TEST(CombiningStress, CApiRoundTrip) {
-  cna_combining_t* table = cna_combining_create("cna", 4);
+  cna_locktable_t* table = cna_locktable_create_combining("cna", 4);
   ASSERT_NE(table, nullptr);
-  EXPECT_EQ(cna_combining_stripes(table), 4u);
-  EXPECT_EQ(cna_combining_state_bytes(table), 4 * sizeof(void*));
-  EXPECT_LT(cna_combining_stripe_of(table, 42), 4u);
+  EXPECT_EQ(cna_locktable_stripes(table), 4u);
+  EXPECT_EQ(cna_locktable_state_bytes(table), 4 * sizeof(void*));
+  EXPECT_LT(cna_locktable_stripe_of(table, 42), 4u);
 
   struct Ctx {
     std::atomic<std::uint64_t> sum{0};
@@ -176,7 +176,7 @@ TEST(CombiningStress, CApiRoundTrip) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
-        ASSERT_EQ(cna_combining_apply(
+        ASSERT_EQ(cna_locktable_apply(
                       table, static_cast<std::uint64_t>(i % 8),
                       [](void* c) {
                         static_cast<Ctx*>(c)->sum.fetch_add(
@@ -191,22 +191,34 @@ TEST(CombiningStress, CApiRoundTrip) {
     th.join();
   }
   EXPECT_EQ(ctx.sum.load(), static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(cna_combining_pass_through_ops(table) +
-                cna_combining_combined_ops(table),
+  cna_locktable_stats_t stats;
+  ASSERT_EQ(cna_locktable_get_stats(table, &stats), 0);
+  EXPECT_EQ(stats.pass_through_ops + stats.combined_ops,
             static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(stats.grows + stats.shrinks + stats.epoch_retired, 0u);
 
-  // Lock/unlock coexistence and error mapping.
-  EXPECT_EQ(cna_combining_lock(table, 5), 0);
-  EXPECT_EQ(cna_combining_unlock(table, 5), 0);
-  EXPECT_EQ(cna_combining_unlock(table, 5), EPERM);
-  EXPECT_EQ(cna_combining_apply(table, 0, nullptr, nullptr), EINVAL);
+  // Lock/unlock coexistence and error mapping; a combining table has no
+  // try-lock or multi-key calls, and apply needs a combining table.
+  EXPECT_EQ(cna_locktable_lock(table, 5), 0);
+  EXPECT_EQ(cna_locktable_unlock(table, 5), 0);
+  EXPECT_EQ(cna_locktable_unlock(table, 5), EPERM);
+  EXPECT_EQ(cna_locktable_apply(table, 0, nullptr, nullptr), EINVAL);
+  EXPECT_EQ(cna_locktable_trylock(table, 5), EINVAL);
+  const std::uint64_t keys[2] = {1, 2};
+  EXPECT_EQ(cna_locktable_lock_many(table, keys, 2), EINVAL);
+  cna_locktable_t* fixed = cna_locktable_create("cna", 4);
+  ASSERT_NE(fixed, nullptr);
+  EXPECT_EQ(cna_locktable_apply(
+                fixed, 0, [](void*) {}, nullptr),
+            EINVAL);
+  cna_locktable_destroy(fixed);
 
   // Unknown names and non-try-lockable kinds are rejected at creation.
-  EXPECT_EQ(cna_combining_create("no-such-lock", 4), nullptr);
-  EXPECT_EQ(cna_combining_create("clh", 4), nullptr);
+  EXPECT_EQ(cna_locktable_create_combining("no-such-lock", 4), nullptr);
+  EXPECT_EQ(cna_locktable_create_combining("clh", 4), nullptr);
 
-  cna_combining_destroy(table);
-  cna_combining_destroy(nullptr);  // must be a no-op
+  cna_locktable_destroy(table);
+  cna_locktable_destroy(nullptr);  // must be a no-op
 }
 
 }  // namespace

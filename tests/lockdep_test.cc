@@ -27,6 +27,8 @@
 #include "core/pthread_api.h"
 #include "core/registry.h"
 #include "locks/cna.h"
+#include "locks/lock_api.h"
+#include "locks/tas.h"
 #include "locktable/lock_table.h"
 #include "parking/parking_lot.h"
 #include "platform/real_platform.h"
@@ -292,6 +294,75 @@ TEST_F(LockdepTest, AliasedContextsDoNotInheritHeldLocks) {
             std::string::npos)
       << dot;
   EXPECT_EQ(lockdep::HeldDepth(a_id.load()), 0);
+}
+
+// ScopedLock records its hold under the lock's platform context id,
+// P::CpuId(), which is the id the tables record under.  telemetry::SelfShard()
+// is a separate counter.  A guard recording under it would lend its lock to
+// whichever thread's CpuId equals the holder's SelfShard: a stripe that thread
+// takes while holding nothing would then record a false
+// lock/scoped -> stripe edge.
+TEST_F(LockdepTest, ScopedLockHoldsUnderThePlatformContextId) {
+  RealTable table({.stripes = 8, .metrics_name = "scopedprobe"});
+  locks::TtasLock<RealPlatform> ttas;
+
+  // Line the two id counters up.  Each helper thread draws one id from one
+  // counter, and neither counter ever reuses an id.
+  const auto fresh_shard = [] {
+    int id = -1;
+    std::thread([&] { id = telemetry::SelfShard(); }).join();
+    return id;
+  };
+  const auto fresh_cpu = [] {
+    int id = -1;
+    std::thread([&] { id = RealPlatform::CpuId(); }).join();
+    return id;
+  };
+  int shard = fresh_shard();
+  int cpu = fresh_cpu();
+  while (shard < cpu) {
+    shard = fresh_shard();
+  }
+  while (cpu < shard) {
+    cpu = fresh_cpu();
+  }
+
+  // Both counters hand out the same id next.  The taker draws it as its
+  // CpuId; the holder then draws it as its SelfShard, and the next CpuId.
+  std::atomic<int> taker_cpu{-1};
+  std::atomic<bool> go{false};
+  std::atomic<bool> taken{false};
+  std::thread taker([&] {
+    taker_cpu.store(RealPlatform::CpuId());
+    while (!go.load()) {
+      std::this_thread::yield();
+    }
+    table.LockStripe(3);
+    table.UnlockStripe(3);
+    taken.store(true);
+  });
+  while (taker_cpu.load() < 0) {
+    std::this_thread::yield();
+  }
+  int holder_shard = -1;
+  int holder_cpu = -1;
+  std::thread holder([&] {
+    holder_shard = telemetry::SelfShard();
+    holder_cpu = RealPlatform::CpuId();
+    locks::ScopedLock<locks::TtasLock<RealPlatform>> guard(ttas);
+    EXPECT_EQ(lockdep::HeldDepth(holder_cpu), 1);
+    go.store(true);
+    while (!taken.load()) {
+      std::this_thread::yield();
+    }
+  });
+  holder.join();
+  taker.join();
+
+  ASSERT_EQ(holder_shard, taker_cpu.load());
+  ASSERT_NE(holder_cpu, taker_cpu.load());
+  EXPECT_EQ(lockdep::GetCounts().edges, 0u) << lockdep::ReportText();
+  EXPECT_EQ(lockdep::HeldDepth(holder_cpu), 0);
 }
 
 // Parking with a tracked lock held is flagged; parking with an empty held

@@ -276,9 +276,9 @@ TEST(ReshardingStress, PolicyGrowsUnderUniformContentionAndShrinksWhenQuiet) {
 // --- C API round trip (the surface CI's TSan job exercises) ---
 
 TEST(ReshardingStress, CApiRoundTripWithConcurrentResizes) {
-  cna_resizable_t* table = cna_resizable_create_default(16);
+  cna_locktable_t* table = cna_locktable_create_resizable("cna", 16);
   ASSERT_NE(table, nullptr);
-  EXPECT_EQ(cna_resizable_stripes(table), 16u);
+  EXPECT_EQ(cna_locktable_stripes(table), 16u);
 
   // Lock/unlock across a concurrent manual resize from another thread.
   constexpr int kIters = 2000;
@@ -287,47 +287,53 @@ TEST(ReshardingStress, CApiRoundTripWithConcurrentResizes) {
   std::thread resizer([&] {
     bool grow = true;
     while (!stop.load(std::memory_order_relaxed)) {
-      cna_resizable_resize(table, grow ? 128 : 8);
+      cna_locktable_resize(table, grow ? 128 : 8);
       grow = !grow;
       std::this_thread::yield();
     }
   });
   for (int i = 0; i < kIters; ++i) {
     const std::uint64_t key = static_cast<std::uint64_t>(i) % 64;
-    ASSERT_EQ(cna_resizable_lock(table, key), 0);
+    ASSERT_EQ(cna_locktable_lock(table, key), 0);
     ++guarded;
-    ASSERT_EQ(cna_resizable_unlock(table, key), 0);
+    ASSERT_EQ(cna_locktable_unlock(table, key), 0);
     const std::uint64_t pair[2] = {key, key + 64};
-    ASSERT_EQ(cna_resizable_lock_many(table, pair, 2), 0);
+    ASSERT_EQ(cna_locktable_lock_many(table, pair, 2), 0);
     ++guarded;
-    ASSERT_EQ(cna_resizable_unlock_many(table, pair, 2), 0);
+    ASSERT_EQ(cna_locktable_unlock_many(table, pair, 2), 0);
   }
   stop.store(true, std::memory_order_relaxed);
   resizer.join();
   EXPECT_EQ(guarded, static_cast<std::uint64_t>(2 * kIters));
 
   // Error surface: unlock without a lock reports EPERM, resize to the
-  // current size reports EBUSY (no-op), null tables are rejected.
-  EXPECT_EQ(cna_resizable_unlock(table, 7), EPERM);
-  const std::size_t now = cna_resizable_stripes(table);
-  EXPECT_EQ(cna_resizable_resize(table, now), EBUSY);
-  EXPECT_EQ(cna_resizable_lock(nullptr, 0), EINVAL);
+  // current size reports EBUSY (no-op), null tables are rejected, and so is
+  // a resize of a fixed table.
+  EXPECT_EQ(cna_locktable_unlock(table, 7), EPERM);
+  const std::size_t now = cna_locktable_stripes(table);
+  EXPECT_EQ(cna_locktable_resize(table, now), EBUSY);
+  EXPECT_EQ(cna_locktable_lock(nullptr, 0), EINVAL);
+  cna_locktable_t* fixed = cna_locktable_create_default(16);
+  ASSERT_NE(fixed, nullptr);
+  EXPECT_EQ(cna_locktable_resize(fixed, 64), EINVAL);
+  cna_locktable_destroy(fixed);
 
   // Reclamation observability: every completed resize -- however many the
   // background resizer got through -- retired exactly one snapshot, and one
   // deterministic manual resize from this thread moves both counters.
-  const std::uint64_t before =
-      cna_resizable_grows(table) + cna_resizable_shrinks(table);
-  EXPECT_EQ(cna_resizable_epoch_retired(table), before);
-  ASSERT_EQ(cna_resizable_resize(table, now == 8 ? 32 : 8), 0);
-  const std::uint64_t resizes =
-      cna_resizable_grows(table) + cna_resizable_shrinks(table);
+  cna_locktable_stats_t stats;
+  ASSERT_EQ(cna_locktable_get_stats(table, &stats), 0);
+  const std::uint64_t before = stats.grows + stats.shrinks;
+  EXPECT_EQ(stats.epoch_retired, before);
+  ASSERT_EQ(cna_locktable_resize(table, now == 8 ? 32 : 8), 0);
+  ASSERT_EQ(cna_locktable_get_stats(table, &stats), 0);
+  const std::uint64_t resizes = stats.grows + stats.shrinks;
   EXPECT_EQ(resizes, before + 1);
-  EXPECT_EQ(cna_resizable_epoch_retired(table), resizes);
-  EXPECT_LE(cna_resizable_epoch_reclaimed(table),
-            cna_resizable_epoch_retired(table));
+  EXPECT_EQ(stats.epoch_retired, resizes);
+  EXPECT_LE(stats.epoch_reclaimed, stats.epoch_retired);
+  EXPECT_EQ(stats.pass_through_ops + stats.combined_ops, 0u);
 
-  cna_resizable_destroy(table);
+  cna_locktable_destroy(table);
 }
 
 // --- The registry's adaptive facade ---

@@ -2,9 +2,9 @@
 // exclusive surface shared with the mutex table runs typed over both stripe
 // types in locktable_test.cc), per-stripe read/write statistics, the
 // registry factories (MakeRwLockTable, core::SharedMutex,
-// core::ShardedSharedMutex), and the C surface (cna_rwlock_*,
-// cna_rwlocktable_*) round-trip -- including the real-thread stress the CI
-// ThreadSanitizer job runs.
+// core::ShardedSharedMutex), and the C surface (cna_rwlock_*, and
+// cna_locktable_* over reader-writer stripes) round-trip -- including the
+// real-thread stress the CI ThreadSanitizer job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "apps/sharded_kv.h"
-#include "core/any_rwlock_table.h"
 #include "core/pthread_api.h"
 #include "core/registry.h"
 #include "locks/cna_rwlock.h"
@@ -264,7 +263,7 @@ TEST(MakeRwLockTable, EveryKindBuildsAndRoundTrips) {
     table->LockShared(42);
     table->UnlockShared(42);
     table->Lock(42);
-    table->UnlockAny(42);  // unified release of the exclusive hold
+    table->Unlock(42);  // unified release of the exclusive hold
     const std::uint64_t keys[3] = {1, 2, 3};
     table->LockMany(keys, 3);
     table->UnlockMany(keys, 3);
@@ -365,68 +364,82 @@ TEST(CRwLockApi, RejectsUnknownNamesAndNulls) {
   cna_rwlock_destroy(nullptr);  // must be a no-op
 }
 
+// Reader-writer tables through the one cna_locktable_* family: create takes
+// the rwlock kinds, rdlock/tryrdlock add the reader side, and unlock
+// releases the newest hold in either mode.
 TEST(CRwLockTableApi, CreateByNameRoundTrip) {
-  cna_rwlocktable_t* table = cna_rwlocktable_create("cna-rw-compact", 100);
+  cna_locktable_t* table = cna_locktable_create("cna-rw-compact", 100);
   ASSERT_NE(table, nullptr);
-  EXPECT_EQ(cna_rwlocktable_stripes(table), 128u);  // rounded up to 2^7
-  EXPECT_EQ(cna_rwlocktable_state_bytes(table), 128u * 8u);
-  EXPECT_EQ(cna_rwlocktable_rdlock(table, 7), 0);
-  EXPECT_EQ(cna_rwlocktable_rdlock(table, 7), 0);     // readers share
-  EXPECT_EQ(cna_rwlocktable_trywrlock(table, 7), EBUSY);
-  EXPECT_EQ(cna_rwlocktable_unlock(table, 7), 0);
-  EXPECT_EQ(cna_rwlocktable_unlock(table, 7), 0);
-  EXPECT_EQ(cna_rwlocktable_wrlock(table, 7), 0);
-  EXPECT_EQ(cna_rwlocktable_tryrdlock(table, 7), EBUSY);
-  EXPECT_EQ(cna_rwlocktable_unlock(table, 7), 0);
-  EXPECT_EQ(cna_rwlocktable_unlock(table, 7), EPERM);
-  cna_rwlocktable_destroy(table);
+  EXPECT_EQ(cna_locktable_stripes(table), 128u);  // rounded up to 2^7
+  EXPECT_EQ(cna_locktable_state_bytes(table), 128u * 8u);
+  EXPECT_EQ(cna_locktable_rdlock(table, 7), 0);
+  EXPECT_EQ(cna_locktable_rdlock(table, 7), 0);     // readers share
+  EXPECT_EQ(cna_locktable_trylock(table, 7), EBUSY);
+  EXPECT_EQ(cna_locktable_unlock(table, 7), 0);
+  EXPECT_EQ(cna_locktable_unlock(table, 7), 0);
+  EXPECT_EQ(cna_locktable_lock(table, 7), 0);
+  EXPECT_EQ(cna_locktable_tryrdlock(table, 7), EBUSY);
+  EXPECT_EQ(cna_locktable_unlock(table, 7), 0);
+  EXPECT_EQ(cna_locktable_unlock(table, 7), EPERM);
+  cna_locktable_destroy(table);
 }
 
 TEST(CRwLockTableApi, MultiKeyExclusiveTransactions) {
-  cna_rwlocktable_t* table = cna_rwlocktable_create_default(16);
+  cna_locktable_t* table = cna_locktable_create("cna-rw-compact", 16);
   ASSERT_NE(table, nullptr);
   const uint64_t keys[4] = {1, 2, 3, 1ull << 40};
-  EXPECT_EQ(cna_rwlocktable_wrlock_many(table, keys, 4), 0);
-  EXPECT_EQ(cna_rwlocktable_unlock_many(table, keys, 4), 0);
+  EXPECT_EQ(cna_locktable_lock_many(table, keys, 4), 0);
+  EXPECT_EQ(cna_locktable_unlock_many(table, keys, 4), 0);
   // Partial sets release nothing.
-  ASSERT_EQ(cna_rwlocktable_wrlock(table, 1), 0);
+  ASSERT_EQ(cna_locktable_lock(table, 1), 0);
   const uint64_t mixed[2] = {1, 2};
-  EXPECT_EQ(cna_rwlocktable_unlock_many(table, mixed, 2), EPERM);
-  EXPECT_EQ(cna_rwlocktable_unlock(table, 1), 0);
-  cna_rwlocktable_destroy(table);
+  EXPECT_EQ(cna_locktable_unlock_many(table, mixed, 2), EPERM);
+  EXPECT_EQ(cna_locktable_unlock(table, 1), 0);
+  cna_locktable_destroy(table);
 }
 
 TEST(CRwLockTableApi, CrossThreadReadersShareWritersExclude) {
-  cna_rwlocktable_t* table = cna_rwlocktable_create("cna-rw", 4);
+  cna_locktable_t* table = cna_locktable_create("cna-rw", 4);
   ASSERT_NE(table, nullptr);
-  ASSERT_EQ(cna_rwlocktable_rdlock(table, 0), 0);
+  ASSERT_EQ(cna_locktable_rdlock(table, 0), 0);
   int rd_result = -1;
   int wr_result = -1;
   std::thread worker([&] {
-    rd_result = cna_rwlocktable_tryrdlock(table, 0);  // readers share
+    rd_result = cna_locktable_tryrdlock(table, 0);  // readers share
     if (rd_result == 0) {
-      cna_rwlocktable_unlock(table, 0);
+      cna_locktable_unlock(table, 0);
     }
-    wr_result = cna_rwlocktable_trywrlock(table, 0);  // writer excluded
+    wr_result = cna_locktable_trylock(table, 0);  // writer excluded
   });
   worker.join();
   EXPECT_EQ(rd_result, 0);
   EXPECT_EQ(wr_result, EBUSY);
-  EXPECT_EQ(cna_rwlocktable_unlock(table, 0), 0);
-  cna_rwlocktable_destroy(table);
+  EXPECT_EQ(cna_locktable_unlock(table, 0), 0);
+  cna_locktable_destroy(table);
 }
 
 TEST(CRwLockTableApi, RejectsUnknownNamesAndNulls) {
-  EXPECT_EQ(cna_rwlocktable_create("no-such-rwlock", 8), nullptr);
-  EXPECT_EQ(cna_rwlocktable_create(nullptr, 8), nullptr);
-  EXPECT_EQ(cna_rwlocktable_create("cna-rw", size_t{1} << 40), nullptr);
-  EXPECT_EQ(cna_rwlocktable_rdlock(nullptr, 1), EINVAL);
-  EXPECT_EQ(cna_rwlocktable_wrlock(nullptr, 1), EINVAL);
-  EXPECT_EQ(cna_rwlocktable_unlock(nullptr, 1), EINVAL);
-  EXPECT_EQ(cna_rwlocktable_wrlock_many(nullptr, nullptr, 0), EINVAL);
-  EXPECT_EQ(cna_rwlocktable_stripes(nullptr), 0u);
-  EXPECT_EQ(cna_rwlocktable_state_bytes(nullptr), 0u);
-  cna_rwlocktable_destroy(nullptr);  // must be a no-op
+  EXPECT_EQ(cna_locktable_create("no-such-rwlock", 8), nullptr);
+  EXPECT_EQ(cna_locktable_create(nullptr, 8), nullptr);
+  EXPECT_EQ(cna_locktable_create("cna-rw", size_t{1} << 40), nullptr);
+  EXPECT_EQ(cna_locktable_rdlock(nullptr, 1), EINVAL);
+  EXPECT_EQ(cna_locktable_tryrdlock(nullptr, 1), EINVAL);
+  EXPECT_EQ(cna_locktable_stripes(nullptr), 0u);
+  EXPECT_EQ(cna_locktable_state_bytes(nullptr), 0u);
+}
+
+// Only the fixed-table create builds reader-writer stripes, and only tables
+// of them have a reader side.
+TEST(CRwLockTableApi, ReaderSideBelongsToRwTables) {
+  EXPECT_EQ(cna_locktable_create_blocking("cna-rw", 8), nullptr);
+  EXPECT_EQ(cna_locktable_create_resizable("cna-rw", 8), nullptr);
+  EXPECT_EQ(cna_locktable_create_combining("cna-rw-compact", 8), nullptr);
+  cna_locktable_t* mutex_table = cna_locktable_create("cna", 8);
+  ASSERT_NE(mutex_table, nullptr);
+  EXPECT_EQ(cna_locktable_rdlock(mutex_table, 1), EINVAL);
+  EXPECT_EQ(cna_locktable_tryrdlock(mutex_table, 1), EINVAL);
+  EXPECT_EQ(cna_locktable_unlock(mutex_table, 1), EPERM);  // nothing taken
+  cna_locktable_destroy(mutex_table);
 }
 
 }  // namespace
