@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "bench_common.h"
+#include "telemetry/metrics.h"
 
 namespace {
 
@@ -141,11 +142,10 @@ int main() {
     for (int t : {4, 16, 48}) {
       auto measure = [&](auto lock_tag) {
         using L = decltype(lock_tag);
-        locks::GlobalCnaCounters().Reset();
+        telemetry::CnaCounters().Reset();
         const auto r = RunKvPoint<L>(sim::MachineConfig::TwoSocket(), t,
                                      window, kv);
-        const auto alters =
-            locks::GlobalCnaCounters().queue_alterations.load();
+        const auto alters = telemetry::CnaCounters().queue_alterations->Value();
         return r.total_ops == 0
                    ? 0.0
                    : 1000.0 * static_cast<double>(alters) /
@@ -156,7 +156,7 @@ int main() {
       const double opt = measure(locks::CnaLock<SimPlatform, StatsOptConfig>{});
       table.AddRow(t, {base, opt, opt > 0 ? base / opt : 0.0});
     }
-    locks::GlobalCnaCounters().Reset();
+    telemetry::CnaCounters().Reset();
     table.Emit();
   }
   return 0;

@@ -26,7 +26,6 @@
 #include "locks/cna.h"
 #include "locks/lock_api.h"
 #include "locks/mcs.h"
-#include "locks/cna_stats.h"
 #include "platform/real_platform.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -42,7 +41,6 @@ using namespace cna;
 // relative to the reset state instead of wrapping.
 void ResetPhaseTelemetry() {
   telemetry::Registry::Global().ResetAll();
-  locks::GlobalCnaCounters().Reset();
   cna_sampler_rebaseline();
 }
 
@@ -114,7 +112,7 @@ void TelemetryDemo(int threads, std::chrono::milliseconds window) {
       });
 
   telemetry::SetTraceEnabled(false);
-  const auto snap = telemetry::SnapshotAll();
+  const auto snap = telemetry::Registry::Global().Snapshot();
   std::printf("\n--- telemetry: lock_stat text ---\n%s",
               telemetry::ToLockStatText(snap).c_str());
   std::printf("\n--- telemetry: JSON ---\n%s\n",

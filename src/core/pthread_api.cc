@@ -555,13 +555,16 @@ char* cna_telemetry_export(int format) {
   try {
     switch (format) {
       case CNA_TELEMETRY_FORMAT_TEXT:
-        out = cna::telemetry::ToLockStatText(cna::telemetry::SnapshotAll());
+        out = cna::telemetry::ToLockStatText(
+            cna::telemetry::Registry::Global().Snapshot());
         break;
       case CNA_TELEMETRY_FORMAT_JSON:
-        out = cna::telemetry::ToJson(cna::telemetry::SnapshotAll());
+        out = cna::telemetry::ToJson(
+            cna::telemetry::Registry::Global().Snapshot());
         break;
       case CNA_TELEMETRY_FORMAT_PROMETHEUS:
-        out = cna::telemetry::ToPrometheus(cna::telemetry::SnapshotAll());
+        out = cna::telemetry::ToPrometheus(
+            cna::telemetry::Registry::Global().Snapshot());
         break;
       case CNA_TELEMETRY_FORMAT_CHROME:
         out = cna::telemetry::ToChromeTraceJson(cna::telemetry::CollectTrace());

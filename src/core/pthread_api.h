@@ -286,7 +286,9 @@ size_t cna_parking_waiters(void);
 // with malloc and are released with cna_telemetry_free.
 // ---------------------------------------------------------------------------
 
-// Master switch for counter/histogram recording (0 = off).
+// Master switch for counter/histogram recording (0 = off).  Counts a
+// recorder opts into on its own ignore it: CNA's kCollectStats event
+// counters (cna.*) and MiniVfs's lockstat sites (lockstat.*).
 void cna_telemetry_enable(int on);
 int cna_telemetry_enabled(void);
 

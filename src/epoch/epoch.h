@@ -34,7 +34,7 @@
 // advance scan, and validation is charged to the coherence model and explored
 // across schedules exactly like lock words are.  The bookkeeping counters
 // (retired/reclaimed/advances) are plain std::atomic diagnostics, following
-// the cna_stats.h convention.
+// the telemetry/metrics.h convention.
 #ifndef CNA_EPOCH_EPOCH_H_
 #define CNA_EPOCH_EPOCH_H_
 
@@ -443,7 +443,7 @@ class Domain {
   typename P::template Atomic<std::uint64_t> global_epoch_{2};
   std::unique_ptr<Slot[]> slots_;
 
-  // Diagnostics (plain atomics, cna_stats.h convention).
+  // Diagnostics (plain atomics, telemetry/metrics.h convention).
   std::atomic<std::uint64_t> advances_{0};
   std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> reclaimed_{0};

@@ -12,15 +12,16 @@
 //     charge shared-line writes through P::OnDataAccess when lockstat mode is
 //     on); this registry is the bookkeeping half.
 //
-// Recording is built on the telemetry sharding idiom (telemetry/metrics.h)
-// rather than the original mutex + string-keyed map: call sites intern a
-// (lock, site) pair once into a SiteId and then record into padded per-thread
-// cells with two relaxed RMWs.  The string-keyed Record() compatibility
-// surface resolves names through a lock-free open-addressed hash, so its
-// steady state is also mutex-free; only the first Record() of a new pair
-// takes the intern lock.  Reset() zeroes counters but keeps interned sites
-// (Snapshot() filters never-recorded sites, so the observable report shape is
-// unchanged).
+// The counts live in the telemetry registry (telemetry/metrics.h): an interned
+// (lock, site) pair owns the registry counters
+// "lockstat.<lock>@<site>.acquisitions" and "lockstat.<lock>@<site>.contended",
+// so Table 1's counts show on every export (/metrics, /json, /lockstat),
+// in the sampler's /series and cna_top, and reset with the rest of the
+// registry (cna_telemetry_reset).  Call sites intern a pair once into a SiteId
+// and then record with two relaxed RMWs, mutex-free; the string-keyed
+// Record() interns on every call.  Reset() zeroes counters but keeps interned
+// sites (Snapshot() filters never-recorded sites, so the observable report
+// shape is unchanged).
 #ifndef CNA_KERNEL_LOCKSTAT_H_
 #define CNA_KERNEL_LOCKSTAT_H_
 
@@ -29,12 +30,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "telemetry/metrics.h"
 
 namespace cna::kernel {
 
@@ -70,20 +72,23 @@ class LockStatRegistry {
 
   // Interns the pair, returning the same id for the same strings.  Takes the
   // intern mutex; callers on hot paths should cache the id and use
-  // RecordSite.  Throws std::length_error past kMaxSites.
+  // RecordSite.  Throws std::length_error past kMaxSites, and
+  // std::invalid_argument when the pair's counter names are already taken by
+  // another pair (possible only when a name contains '@').
   SiteId Intern(std::string_view lock_name, std::string_view call_site);
 
-  // Lock-free sharded recording for an interned site: two relaxed RMWs on a
-  // per-thread padded cell.
+  // Mutex-free recording for an interned site: a relaxed RMW on this
+  // thread's shard of each registry counter it bumps.
   void RecordSite(SiteId id, bool contended);
 
-  // String-keyed compatibility surface; steady state resolves the pair
-  // through a lock-free hash and then behaves exactly like RecordSite.
+  // String-keyed surface: RecordSite(Intern(lock_name, call_site)), so it
+  // takes the intern mutex on every call.
   void Record(std::string_view lock_name, std::string_view call_site,
               bool contended);
 
-  // Zeroes all counters.  Interned sites and ids survive (never-recorded
-  // sites are invisible to Snapshot, so a reset registry reports empty).
+  // Zeroes every site's counters (Registry::ResetAll does too).  Interned
+  // sites and ids survive (never-recorded sites are invisible to Snapshot,
+  // so a reset registry reports empty).
   void Reset();
 
   // Snapshot sorted by (lock, call site); sites with zero acquisitions are
@@ -101,38 +106,18 @@ class LockStatRegistry {
                                             std::uint64_t min_acquisitions) const;
 
  private:
-  // Per-site sharded cells: smaller than the telemetry Counter's 64-way
-  // stripe because a registry can hold thousands of sites (1 KiB per site at
-  // 16 shards; MiniVfs interns about a dozen).
-  static constexpr int kSiteShards = 16;
-
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> acquisitions{0};
-    std::atomic<std::uint64_t> contended{0};
-  };
-
+  // The pair's registry counters; both live as long as the registry.
   struct Site {
-    SiteKey key;
-    std::array<Cell, kSiteShards> cells;
+    SiteId id;
+    telemetry::Counter* acquisitions;
+    telemetry::Counter* contended;
   };
 
-  // Lock-free name hash: open-addressed, linear probing, publish-once slots
-  // encoding (hash32 << 32) | (id + 1).  A slot is never rewritten, so a
-  // reader that matches the hash half can verify the strings through the
-  // immutable Site and trust the id half.
-  static constexpr std::size_t kHashSlots = 1024;  // power of two
-  static constexpr std::size_t kMaxProbes = 32;
-
-  static std::uint32_t HashPair(std::string_view lock_name,
-                                std::string_view call_site);
-
-  SiteId InternLocked(std::string_view lock_name, std::string_view call_site);
-
-  mutable std::mutex mu_;  // guards sites_ growth and by_key_
-  std::vector<std::unique_ptr<Site>> sites_;
-  std::map<SiteKey, SiteId> by_key_;
-  std::array<std::atomic<Site*>, kMaxSites> by_id_{};
-  std::array<std::atomic<std::uint64_t>, kHashSlots> hash_{};
+  mutable std::mutex mu_;  // guards sites_
+  // std::map: a node never moves, and Snapshot walks it in report order.
+  std::map<SiteKey, Site> sites_;
+  // RecordSite's mutex-free lookup; a slot is published once.
+  std::array<std::atomic<const Site*>, kMaxSites> by_id_{};
 };
 
 }  // namespace cna::kernel

@@ -122,9 +122,9 @@ class CombiningLockTorture {
   }
 
   // Total closures applied.  Plain std::atomic (never P::Atomic), following
-  // the cna_stats.h diagnostics convention: the simulator charges nothing
-  // for it, and closures on different stripes may run concurrently on real
-  // threads.
+  // the telemetry/metrics.h diagnostics convention: the simulator charges
+  // nothing for it, and closures on different stripes may run concurrently
+  // on real threads.
   std::uint64_t OpsApplied() const {
     return ops_applied_.load(std::memory_order_relaxed);
   }

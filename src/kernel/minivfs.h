@@ -16,9 +16,10 @@
 //                       lockref_get_* call sites, as in Table 1).
 //
 // Every lock acquisition can report (lock name, call site, was-contended) to
-// the LockStatRegistry -- that regenerates Table 1 -- and every data-structure
-// touch is charged through P::OnDataAccess so the simulator accounts the
-// critical sections' cache traffic.
+// the LockStatRegistry through a site id interned once -- that regenerates
+// Table 1 -- and every data-structure touch is charged through
+// P::OnDataAccess so the simulator accounts the critical sections' cache
+// traffic.
 #ifndef CNA_KERNEL_MINIVFS_H_
 #define CNA_KERNEL_MINIVFS_H_
 
@@ -96,7 +97,7 @@ class MiniVfs {
   // __alloc_fd: find the lowest free fd under file_lock and install `inode`.
   // Returns -1 when the table is full (EMFILE).
   int AllocFd(int inode, int dentry = -1) {
-    AcquireFilesLock("__alloc_fd");
+    AcquireSpin(files_lock_, kAllocFd);
     int fd = -1;
     for (std::size_t w = 0; w < fd_bitmap_.size(); ++w) {
       P::OnDataAccess(files_data_id_ + 1 + w, /*write=*/false);
@@ -128,7 +129,7 @@ class MiniVfs {
     if (fd < 0 || fd >= options_.max_fds) {
       return false;
     }
-    AcquireFilesLock("__close_fd");
+    AcquireSpin(files_lock_, kCloseFd);
     const auto w = static_cast<std::size_t>(fd) / 64;
     const auto bit = static_cast<std::uint64_t>(fd) % 64;
     const bool was_open = (fd_bitmap_[w] >> bit) & 1;
@@ -154,8 +155,7 @@ class MiniVfs {
     if (inode == nullptr) {
       return false;
     }
-    AcquireSpin(inode->flc.flc_lock, "file_lock_context.flc_lock",
-                "posix_lock_inode");
+    AcquireSpin(inode->flc.flc_lock, kPosixLockInode);
     bool ok = true;
     const std::uint64_t end = start + len;
     std::size_t scanned = 0;
@@ -175,7 +175,7 @@ class MiniVfs {
     if (ok) {
       // Close/fcntl race detection (fs/fcntl.c fcntl_setlk): take
       // files->file_lock and verify the fd is still installed.
-      AcquireFilesLock("fcntl_setlk");
+      AcquireSpin(files_lock_, kFcntlSetlk);
       P::OnDataAccess(files_data_id_ + 40 + static_cast<std::uint64_t>(fd) % 8,
                       /*write=*/false);
       files_lock_.Unlock();
@@ -190,8 +190,7 @@ class MiniVfs {
     if (inode == nullptr) {
       return 0;
     }
-    AcquireSpin(inode->flc.flc_lock, "file_lock_context.flc_lock",
-                "posix_lock_inode");
+    AcquireSpin(inode->flc.flc_lock, kPosixLockInode);
     const std::uint64_t end = start + len;
     int removed = 0;
     auto& locks = inode->flc.locks;
@@ -218,7 +217,7 @@ class MiniVfs {
   // dput(parent).  Returns the fd, or -1 on EMFILE.
   int Open(int parent_dentry, std::uint64_t name) {
     Dentry& parent = dentries_[static_cast<std::size_t>(parent_dentry)];
-    LockRefGet(parent, "lockref_get_not_zero");
+    LockRefGet(parent, kLockrefGetNotZero);
 
     int child_idx = -1;
     {
@@ -340,14 +339,33 @@ class MiniVfs {
  private:
   static constexpr int kLockRefFastTries = 4;
 
-  void AcquireFilesLock(const char* site) {
-    AcquireSpin(files_lock_, "files_struct.file_lock", site);
+  // Table 1's (lock, call site) pairs; the site names match the kernel
+  // symbols lockstat reports.
+  enum LockSite {
+    kAllocFd, kCloseFd, kFcntlSetlk, kPosixLockInode, kLockrefGetNotZero,
+    kLockrefGetNotDead, kDput, kDAlloc, kNumLockSites
+  };
+
+  // The pairs' lockstat ids, interned once per process on first use.
+  static LockStatRegistry::SiteId SiteIdOf(LockSite site) {
+    static LockStatRegistry& reg = LockStatRegistry::Global();
+    static const LockStatRegistry::SiteId ids[kNumLockSites] = {
+        reg.Intern("files_struct.file_lock", "__alloc_fd"),
+        reg.Intern("files_struct.file_lock", "__close_fd"),
+        reg.Intern("files_struct.file_lock", "fcntl_setlk"),
+        reg.Intern("file_lock_context.flc_lock", "posix_lock_inode"),
+        reg.Intern("lockref.lock", "lockref_get_not_zero"),
+        reg.Intern("lockref.lock", "lockref_get_not_dead"),
+        reg.Intern("lockref.lock", "dput"),
+        reg.Intern("lockref.lock", "d_alloc"),
+    };
+    return ids[site];
   }
 
-  void AcquireSpin(SpinLock& lock, const char* lock_name, const char* site) {
+  void AcquireSpin(SpinLock& lock, LockSite site) {
     if (options_.lockstat_accounting) {
       const bool contended = lock.RawValue() != 0;
-      LockStatRegistry::Global().Record(lock_name, site, contended);
+      LockStatRegistry::Global().RecordSite(SiteIdOf(site), contended);
     }
     lock.Lock();
   }
@@ -368,9 +386,9 @@ class MiniVfs {
 
   // lockref get: cmpxchg fast path, spinlock slow path (site names match the
   // kernel symbols Table 1 reports).
-  void LockRefGet(Dentry& d, const char* site) {
+  void LockRefGet(Dentry& d, LockSite site) {
     if (!LockRefFastAdd(d.ref, 1)) {
-      AcquireSpin(d.ref.lock, "lockref.lock", site);
+      AcquireSpin(d.ref.lock, site);
       d.ref.count.fetch_add(1, std::memory_order_relaxed);
       d.ref.lock.Unlock();
     }
@@ -380,7 +398,7 @@ class MiniVfs {
     if (!d.dead && LockRefFastAdd(d.ref, 1)) {
       return !d.dead;
     }
-    AcquireSpin(d.ref.lock, "lockref.lock", "lockref_get_not_dead");
+    AcquireSpin(d.ref.lock, kLockrefGetNotDead);
     bool ok = !d.dead;
     if (ok) {
       d.ref.count.fetch_add(1, std::memory_order_relaxed);
@@ -393,7 +411,7 @@ class MiniVfs {
     if (LockRefFastAdd(d.ref, -1)) {
       return;  // fast-path put; reclaim only happens on the locked path
     }
-    AcquireSpin(d.ref.lock, "lockref.lock", "dput");
+    AcquireSpin(d.ref.lock, kDput);
     const int now = d.ref.count.fetch_add(-1, std::memory_order_relaxed) - 1;
     if (now == 0 && d.parent >= 0) {
       // dentry_kill under memory pressure: reclaim about half the time so
@@ -442,7 +460,7 @@ class MiniVfs {
   // alloc_mu_ guards only the plain container manipulation; every simulated
   // access happens outside it (see CreateDirectory's note).
   int DAlloc(Dentry& parent, int parent_idx, std::uint64_t name) {
-    AcquireSpin(parent.ref.lock, "lockref.lock", "d_alloc");
+    AcquireSpin(parent.ref.lock, kDAlloc);
     int idx = -1;
     bool lost_race = false;
     {

@@ -52,7 +52,6 @@
 #include <cstdint>
 
 #include "base/cacheline.h"
-#include "locks/cna_stats.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -82,8 +81,9 @@ struct CnaDefaultConfig {
   // so the low 6 pointer bits carry socket+1 and find_successor() can skip
   // the cache miss on the successor's node when deciding locality.
   static constexpr bool kEncodeSocketInNext = true;
-  // Update locks::GlobalCnaCounters() on every release (Section 7.1.1's
-  // queue-alteration statistics).  Off by default: zero instrumentation.
+  // Count every release into telemetry::CnaCounters(), the registry's cna.*
+  // counters (Section 7.1.1's queue-alteration statistics).  Off by default:
+  // zero instrumentation.
   static constexpr bool kCollectStats = false;
   // Record slow-path wait time into the telemetry registry and emit trace
   // events for handoffs/queue moves (src/telemetry/).  Off by default: the
@@ -157,9 +157,9 @@ class CnaPolicy {
       if (spin == kGrantFifo) {
         if ((P::Random() & Cfg::kShuffleMask) != 0) {
           kGrant(Ptr(next_raw), kGrantFifo);
-          Count(&CnaEventCounters::releases);
-          Count(&CnaEventCounters::shuffle_skips);
-          Count(&CnaEventCounters::fifo_handovers);
+          Count(&Events::releases);
+          Count(&Events::shuffle_skips);
+          Count(&Events::fifo_handovers);
           TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
           return;
         }
@@ -174,7 +174,7 @@ class CnaPolicy {
       // current secondary-queue designator (NUMA-mode grant or head
       // pointer) -- Figure 1(b)/(d).
       kGrant(succ, spin);
-      Count(&CnaEventCounters::local_handovers);
+      Count(&Events::local_handovers);
       TraceHandoff(telemetry::TraceEventType::kHandoffLocal);
     } else if (HasSecondary(spin)) {
       // Fairness flush (or no local successor): splice the secondary queue in
@@ -187,33 +187,34 @@ class CnaPolicy {
       succ->sec_tail.load(std::memory_order_relaxed)
           ->next.store(next_raw, std::memory_order_relaxed);
       kGrant(succ, kGrantNuma);
-      Count(&CnaEventCounters::secondary_flushes);
+      Count(&Events::secondary_flushes);
       TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
     } else {
       // Secondary queue empty: plain MCS handover, in FIFO mode if
       // find_successor() met a lone remote waiter, else in NUMA mode (this
       // includes a keep_lock_local() fairness draw).
       kGrant(Ptr(next_raw), spin);
-      Count(&CnaEventCounters::fifo_handovers);
+      Count(&Events::fifo_handovers);
       TraceHandoff(telemetry::TraceEventType::kHandoffFifo);
     }
-    Count(&CnaEventCounters::releases);
+    Count(&Events::releases);
   }
 
   // The main queue drained and the lock word now names the secondary tail:
   // the secondary queue is the main queue.  Hand ownership to its head.
   static void PassToSecondaryHead(Node* sec_head) {
     kGrant(sec_head, kGrantNuma);
-    Count(&CnaEventCounters::releases);
-    Count(&CnaEventCounters::secondary_flushes);
+    Count(&Events::releases);
+    Count(&Events::secondary_flushes);
     TraceHandoff(telemetry::TraceEventType::kHandoffSecondary);
   }
 
-  // Section 7.1.1's event counters; compiled out unless Cfg::kCollectStats.
-  static void Count(std::atomic<std::uint64_t> CnaEventCounters::*counter,
-                    std::uint64_t n = 1) {
+  // Section 7.1.1's event counters, added at this CPU's shard of the
+  // registry counter; compiled out unless Cfg::kCollectStats.
+  using Events = telemetry::CnaEventCounters;
+  static void Count(telemetry::Counter* Events::*counter, std::uint64_t n = 1) {
     if constexpr (Cfg::kCollectStats) {
-      (GlobalCnaCounters().*counter).fetch_add(n, std::memory_order_relaxed);
+      (telemetry::CnaCounters().*counter)->AddAt(P::CpuId(), n);
     }
   }
 
@@ -282,8 +283,8 @@ class CnaPolicy {
         sec_tail->next.store(nullptr, std::memory_order_relaxed);
         reinterpret_cast<Node*>(spin)->sec_tail.store(
             sec_tail, std::memory_order_relaxed);
-        Count(&CnaEventCounters::queue_alterations);
-        Count(&CnaEventCounters::waiters_moved, segment_len);
+        Count(&Events::queue_alterations);
+        Count(&Events::waiters_moved, segment_len);
         TraceHandoff(telemetry::TraceEventType::kSecondaryMove, segment_len);
         return cur;
       }
@@ -418,7 +419,7 @@ class CnaLock {
         std::uintptr_t expected = Word(&me);
         if (tail_.compare_exchange_strong(expected, FreeWordOf(spin),
                                           std::memory_order_acq_rel)) {
-          Policy::Count(&CnaEventCounters::releases);
+          Policy::Count(&Policy::Events::releases);
           return;
         }
       } else {

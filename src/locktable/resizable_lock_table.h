@@ -789,7 +789,7 @@ class ResizableLockTable {
   std::uint64_t last_max_stripe_ = 0;
   int quiet_streak_ = 0;
 
-  // Lifetime accumulators (plain atomics, cna_stats.h convention).
+  // Lifetime accumulators (plain atomics, telemetry/metrics.h convention).
   std::atomic<std::uint64_t> retired_acquisitions_{0};
   std::atomic<std::uint64_t> retired_contended_{0};
   std::atomic<std::uint64_t> retired_trylock_failures_{0};

@@ -1,9 +1,9 @@
 // Optional per-stripe occupancy/contention statistics for the lock tables.
 //
-// Follows the cna_stats.h pattern: counters are diagnostics, not simulated
-// state -- they live in plain std::atomic cells (never P::Atomic), so the
-// simulator charges nothing for them and the default stats-off path carries
-// zero instrumentation.
+// Follows the telemetry/metrics.h rules: counters are diagnostics, not
+// simulated state -- they live in plain std::atomic cells (never P::Atomic),
+// so the simulator charges nothing for them and the default stats-off path
+// carries zero instrumentation.
 //
 // Layout.  A stripe's cell holds only the two counts that something reads
 // per stripe (occupancy, the hottest stripe, the resize policy and GCR's

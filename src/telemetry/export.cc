@@ -6,8 +6,6 @@
 #include <sstream>
 #include <string>
 
-#include "locks/cna_stats.h"
-
 namespace cna::telemetry {
 namespace {
 
@@ -64,22 +62,6 @@ void AppendHistJson(std::ostringstream& os, const HistogramSnapshot& h) {
 }
 
 }  // namespace
-
-RegistrySnapshot SnapshotAll() {
-  // Mirror the legacy process-global CNA event counters into the registry so
-  // every export format carries them.  StoreTotal overwrites rather than
-  // accumulates, so repeated snapshots stay correct.
-  Registry& reg = Registry::Global();
-  const locks::CnaCountersSnapshot cna = locks::SnapshotCnaCounters();
-  reg.GetCounter("cna.releases").StoreTotal(cna.releases);
-  reg.GetCounter("cna.local_handovers").StoreTotal(cna.local_handovers);
-  reg.GetCounter("cna.secondary_flushes").StoreTotal(cna.secondary_flushes);
-  reg.GetCounter("cna.fifo_handovers").StoreTotal(cna.fifo_handovers);
-  reg.GetCounter("cna.shuffle_skips").StoreTotal(cna.shuffle_skips);
-  reg.GetCounter("cna.queue_alterations").StoreTotal(cna.queue_alterations);
-  reg.GetCounter("cna.waiters_moved").StoreTotal(cna.waiters_moved);
-  return reg.Snapshot();
-}
 
 std::string ToLockStatText(const RegistrySnapshot& snap) {
   std::ostringstream os;

@@ -14,11 +14,6 @@
 
 namespace cna::telemetry {
 
-// Snapshot of the global registry with the legacy process-global CNA event
-// counters (locks/cna_stats.h) mirrored in as "cna.*" counters, so one
-// export carries every diagnostic sink.
-RegistrySnapshot SnapshotAll();
-
 // /proc/lock_stat flavor: one aligned row per metric; histograms report
 // count, mean and p50/p90/p99/p999 with a per-socket breakdown.
 std::string ToLockStatText(const RegistrySnapshot& snap);

@@ -2,18 +2,22 @@
 //
 // The paper's evaluation is built on observability -- Section 7.1.1's
 // queue-alteration counters and the kernel lockstat tables (Table 1) are what
-// make CNA's behavior legible.  This module generalizes the repo's scattered
-// diagnostic sinks (cna_stats.h, table_stats.h, kernel/lockstat.h) into one
-// named-metric registry with latency distributions and per-socket breakdowns.
+// make CNA's behavior legible.  This module is the one store of process-wide
+// counts: CNA's event counters (CnaCounters() below) and every lockstat site
+// (kernel/lockstat.h) record into the named-metric registry, beside the
+// latency distributions and their per-socket breakdowns, so the exporters,
+// the sampler and Registry::ResetAll see all of them.
 //
-// Design rules, inherited from cna_stats.h:
+// Design rules:
 //  * Diagnostics, not simulated state.  Every cell is a plain std::atomic
 //    (never P::Atomic), so the NUMA simulator charges nothing for recording
 //    and schedules identically with telemetry on or off.
 //  * Near-zero overhead when off.  Recording is guarded by a single relaxed
-//    load of a process-global flag; instrumented slow paths additionally hide
-//    behind compile-time config flags so the default build carries no
-//    telemetry code at all and no lock grows by a byte.
+//    load of a process-global flag, or by the recorder's own opt-in
+//    (Cfg::kCollectStats, MiniVfsOptions::lockstat_accounting); instrumented
+//    slow paths additionally hide behind compile-time config flags so the
+//    default build carries no telemetry code at all and no lock grows by a
+//    byte.
 //  * Sharded cells.  Counters stripe by a dense per-thread id; histograms
 //    stripe by (socket, thread) so per-socket latency distributions fall out
 //    of the shard geometry for free.
@@ -27,6 +31,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,8 +71,8 @@ inline std::uint64_t NowNs() {
           .count());
 }
 
-// Dense per-thread shard hint for callers outside the platform templates
-// (kernel/lockstat.h).  Platform-templated call sites pass P::CpuId()
+// Dense per-thread shard hint for callers that have no platform (Counter::Add,
+// kernel/lockstat.h's sites).  Platform-templated call sites pass P::CpuId()
 // instead, which is also correct under the fiber simulator where
 // thread_local would alias every fiber onto one slot.
 inline int SelfShard() {
@@ -100,15 +105,6 @@ class Counter {
   void Reset() {
     for (CounterCell& c : cells_) {
       c.v.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  // Mirror an externally maintained total (used to surface the legacy
-  // process-global CNA counters through the registry at snapshot time).
-  void StoreTotal(std::uint64_t total) {
-    cells_[0].v.store(total, std::memory_order_relaxed);
-    for (std::size_t i = 1; i < cells_.size(); ++i) {
-      cells_[i].v.store(0, std::memory_order_relaxed);
     }
   }
 
@@ -404,6 +400,55 @@ inline RegistrySnapshot Delta(const RegistrySnapshot& before,
 inline Histogram& CnaWaitHistogram() {
   static Histogram& h = Registry::Global().GetHistogram("cna.lock.wait_ns");
   return h;
+}
+
+// Section 7.1.1's event counters, counted by every CNA queue (CnaLock,
+// qspin-CNA) whose config sets kCollectStats.  Pointers, so CnaPolicy can
+// name a counter by pointer-to-member.
+struct CnaEventCounters {
+  // Completed acquisition/release pairs observed at unlock time (for
+  // qspin-CNA: queue-headship passes).
+  Counter* releases;
+  // Handovers that passed to a same-socket successor found by
+  // find_successor() (includes the immediate-successor fast case).
+  Counter* local_handovers;
+  // Handovers that went to the head of the secondary queue (fairness flush
+  // or no local successor).
+  Counter* secondary_flushes;
+  // Plain FIFO handovers (empty secondary queue, no reorganization).
+  Counter* fifo_handovers;
+  // Handovers short-circuited by the shuffle-reduction optimization.
+  Counter* shuffle_skips;
+  // The paper's "main waiting queue is altered" events: find_successor moved
+  // at least one waiter into the secondary queue.
+  Counter* queue_alterations;
+  // Total waiters moved into the secondary queue across all alterations.
+  Counter* waiters_moved;
+
+  // Zeroes these seven only, for a measured region that must leave the rest
+  // of the registry alone (Registry::ResetAll zeroes them with the rest).
+  void Reset() const {
+    for (Counter* c : {releases, local_handovers, secondary_flushes,
+                       fifo_handovers, shuffle_skips, queue_alterations,
+                       waiters_moved}) {
+      c->Reset();
+    }
+  }
+};
+inline const CnaEventCounters& CnaCounters() {
+  static const CnaEventCounters c{
+      .releases = &Registry::Global().GetCounter("cna.releases"),
+      .local_handovers =
+          &Registry::Global().GetCounter("cna.local_handovers"),
+      .secondary_flushes =
+          &Registry::Global().GetCounter("cna.secondary_flushes"),
+      .fifo_handovers = &Registry::Global().GetCounter("cna.fifo_handovers"),
+      .shuffle_skips = &Registry::Global().GetCounter("cna.shuffle_skips"),
+      .queue_alterations =
+          &Registry::Global().GetCounter("cna.queue_alterations"),
+      .waiters_moved = &Registry::Global().GetCounter("cna.waiters_moved"),
+  };
+  return c;
 }
 inline Histogram& RwWriterWaitHistogram() {
   static Histogram& h =

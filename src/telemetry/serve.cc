@@ -46,16 +46,16 @@ Response Route(const std::string& path, Sampler* sampler) {
   if (path == "/metrics") {
     // The content-type Prometheus scrapers expect for text exposition.
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = ToPrometheus(SnapshotAll());
+    r.body = ToPrometheus(Registry::Global().Snapshot());
     return r;
   }
   if (path == "/json") {
     r.content_type = "application/json";
-    r.body = ToJson(SnapshotAll());
+    r.body = ToJson(Registry::Global().Snapshot());
     return r;
   }
   if (path == "/lockstat") {
-    r.body = ToLockStatText(SnapshotAll());
+    r.body = ToLockStatText(Registry::Global().Snapshot());
     return r;
   }
   if (path == "/lockdep") {

@@ -17,6 +17,7 @@
 #include "platform/real_platform.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
+#include "telemetry/metrics.h"
 
 namespace cna {
 namespace {
@@ -412,7 +413,7 @@ struct StatsOptConfig : StatsConfig {
 };
 
 TEST(CnaStats, CountersAccountForEveryRelease) {
-  locks::GlobalCnaCounters().Reset();
+  telemetry::CnaCounters().Reset();
   sim::Machine m(TwoSocketSmall());
   locks::CnaLock<SimPlatform, StatsConfig> lock;
   constexpr int kThreads = 6;
@@ -425,15 +426,16 @@ TEST(CnaStats, CountersAccountForEveryRelease) {
     });
   }
   m.Run();
-  auto& c = locks::GlobalCnaCounters();
-  EXPECT_EQ(c.releases.load(), static_cast<std::uint64_t>(kThreads) * kIters);
+  const auto& c = telemetry::CnaCounters();
+  EXPECT_EQ(c.releases->Value(),
+            static_cast<std::uint64_t>(kThreads) * kIters);
   // Every handover is classified exactly once (the final release frees the
   // lock and is none of the three).
-  EXPECT_LE(c.local_handovers.load() + c.secondary_flushes.load() +
-                c.fifo_handovers.load(),
-            c.releases.load());
-  EXPECT_GT(c.local_handovers.load(), 0u);
-  locks::GlobalCnaCounters().Reset();
+  EXPECT_LE(c.local_handovers->Value() + c.secondary_flushes->Value() +
+                c.fifo_handovers->Value(),
+            c.releases->Value());
+  EXPECT_GT(c.local_handovers->Value(), 0u);
+  telemetry::CnaCounters().Reset();
 }
 
 TEST(CnaStats, ShuffleReductionCutsQueueAlterations) {
@@ -442,7 +444,7 @@ TEST(CnaStats, ShuffleReductionCutsQueueAlterations) {
   // 4 threads".  Reproduce the direction of that result deterministically.
   auto run = [](auto lock_tag) {
     using L = decltype(lock_tag);
-    locks::GlobalCnaCounters().Reset();
+    telemetry::CnaCounters().Reset();
     sim::Machine m(TwoSocketSmall());
     L lock;
     for (int t = 0; t < 4; ++t) {
@@ -461,12 +463,12 @@ TEST(CnaStats, ShuffleReductionCutsQueueAlterations) {
       });
     }
     m.Run();
-    return locks::GlobalCnaCounters().queue_alterations.load();
+    return telemetry::CnaCounters().queue_alterations->Value();
   };
   const auto base = run(locks::CnaLock<SimPlatform, StatsConfig>{});
   const auto opt = run(locks::CnaLock<SimPlatform, StatsOptConfig>{});
   EXPECT_LT(opt * 2, base) << "base=" << base << " opt=" << opt;
-  locks::GlobalCnaCounters().Reset();
+  telemetry::CnaCounters().Reset();
 }
 
 // ---------- Handover mode: FIFO while there is nothing to reorder ----------
@@ -484,8 +486,8 @@ template <typename Cfg>
 class CnaHandoverMode : public ::testing::Test {
  protected:
   using L = locks::CnaLock<SimPlatform, Cfg>;
-  void SetUp() override { locks::GlobalCnaCounters().Reset(); }
-  void TearDown() override { locks::GlobalCnaCounters().Reset(); }
+  void SetUp() override { telemetry::CnaCounters().Reset(); }
+  void TearDown() override { telemetry::CnaCounters().Reset(); }
 };
 using HandoverModeConfigs =
     ::testing::Types<ModeStatsConfig, UntaggedModeStatsConfig>;
@@ -508,14 +510,15 @@ TYPED_TEST(CnaHandoverMode, LoneRemoteWaitersKeepTheLockInFifoMode) {
     });
   }
   m.Run();
-  const auto c = locks::SnapshotCnaCounters();
-  const std::uint64_t handovers =
-      c.local_handovers + c.secondary_flushes + c.fifo_handovers;
-  EXPECT_EQ(c.releases, 2u * kRounds);
+  const auto& c = telemetry::CnaCounters();
+  const std::uint64_t handovers = c.local_handovers->Value() +
+                                  c.secondary_flushes->Value() +
+                                  c.fifo_handovers->Value();
+  EXPECT_EQ(c.releases->Value(), 2u * kRounds);
   EXPECT_GT(handovers, static_cast<std::uint64_t>(kRounds));  // alternated
-  EXPECT_EQ(c.queue_alterations, 0u);
-  EXPECT_GE(c.shuffle_skips * 10, handovers * 9)
-      << "skips=" << c.shuffle_skips << " handovers=" << handovers;
+  EXPECT_EQ(c.queue_alterations->Value(), 0u);
+  EXPECT_GE(c.shuffle_skips->Value() * 10, handovers * 9)
+      << "skips=" << c.shuffle_skips->Value() << " handovers=" << handovers;
 }
 
 // The mode survives the lock going free: after a FIFO handover and a
@@ -605,9 +608,9 @@ TYPED_TEST(CnaHandoverMode, MutualExclusionAcrossModeChanges) {
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(fifo_lock_grants, 0);
   EXPECT_GT(fifo_try_grants, 0);
-  const auto c = locks::SnapshotCnaCounters();
-  EXPECT_GT(c.shuffle_skips, 0u);
-  EXPECT_GT(c.queue_alterations, 0u);
+  const auto& c = telemetry::CnaCounters();
+  EXPECT_GT(c.shuffle_skips->Value(), 0u);
+  EXPECT_GT(c.queue_alterations->Value(), 0u);
 }
 
 // ---------- MCSCR (Malthusian MCS) ----------

@@ -3,9 +3,14 @@
 // will-it-scale drivers.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/pthread_api.h"
 #include "kernel/lockstat.h"
 #include "kernel/minivfs.h"
 #include "kernel/will_it_scale.h"
@@ -17,6 +22,7 @@ namespace cna {
 namespace {
 
 using Vfs = kernel::MiniVfs<RealPlatform, qspin::SlowPathKind::kCna>;
+using kernel::LockStatRegistry;
 using kernel::MiniVfsOptions;
 
 MiniVfsOptions SmallOptions() {
@@ -212,6 +218,68 @@ TEST(LockStat, VfsAccountingHitsExpectedCallSites) {
               seen.count({"lockref.lock", "d_alloc"}) ||
               seen.count({"lockref.lock", "dput"}));
   reg.Reset();
+}
+
+// Table 1's counts are registry counters: the C export carries a site's
+// lockstat row, and LockStatRegistry::Reset() zeroes both views.  Real
+// threads, so the sanitizer builds see MiniVfs's interned-site recording.
+TEST(LockStat, SiteCountsReachTheTelemetryExport) {
+  auto& reg = kernel::LockStatRegistry::Global();
+  reg.Reset();
+  MiniVfsOptions o = SmallOptions();
+  o.lockstat_accounting = true;
+  Vfs vfs(o);
+  const int ino = vfs.CreateInode();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&vfs, ino] {
+      for (int i = 0; i < 500; ++i) {
+        const int fd = vfs.AllocFd(ino);
+        ASSERT_GE(fd, 0);
+        vfs.CloseFd(fd);
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+
+  const std::string prefix = "lockstat.files_struct.file_lock@__alloc_fd";
+  // A counter's value in the JSON export; -1 when the export lacks it.
+  const auto exported = [](const std::string& name) -> long long {
+    char* json = cna_telemetry_export(CNA_TELEMETRY_FORMAT_JSON);
+    const std::string doc = json != nullptr ? json : "";
+    std::free(json);
+    const std::string key = "\"" + name + "\":";
+    const auto pos = doc.find(key);
+    return pos == std::string::npos ? -1
+                                    : std::stoll(doc.substr(pos + key.size()));
+  };
+  LockStatRegistry::SiteStats row;
+  for (const auto& [key, st] : reg.Snapshot()) {
+    if (key.lock_name == "files_struct.file_lock" &&
+        key.call_site == "__alloc_fd") {
+      row = st;
+    }
+  }
+  EXPECT_EQ(row.acquisitions, 4u * 500u);
+  EXPECT_EQ(exported(prefix + ".acquisitions"),
+            static_cast<long long>(row.acquisitions));
+  EXPECT_EQ(exported(prefix + ".contended"),
+            static_cast<long long>(row.contended));
+
+  reg.Reset();
+  EXPECT_TRUE(reg.Snapshot().empty());
+  EXPECT_EQ(exported(prefix + ".acquisitions"), 0);
+  EXPECT_EQ(exported(prefix + ".contended"), 0);
+}
+
+// A pair's counters are named "lockstat.<lock>@<site>", so two pairs split
+// at different '@'s would share them; the second pair is refused.
+TEST(LockStat, InternRefusesPairsThatShareCounterNames) {
+  auto& reg = kernel::LockStatRegistry::Global();
+  reg.Intern("collide@lock", "site");
+  EXPECT_THROW(reg.Intern("collide", "lock@site"), std::invalid_argument);
 }
 
 // ---------- will-it-scale drivers ----------

@@ -8,13 +8,13 @@
 #include <thread>
 #include <vector>
 
-#include "locks/cna_stats.h"
 #include "platform/real_platform.h"
 #include "platform/thread_context.h"
 #include "qspin/qspin_word.h"
 #include "qspin/qspinlock.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
+#include "telemetry/metrics.h"
 
 namespace cna {
 namespace {
@@ -197,7 +197,7 @@ TEST(Qspinlock, CnaRunsTheSharedHandoverPolicy) {
   // switch to FIFO mode.
   using L = qspin::QSpinLock<SimPlatform, qspin::SlowPathKind::kCna,
                              QspinHandoverModeConfig>;
-  locks::GlobalCnaCounters().Reset();
+  telemetry::CnaCounters().Reset();
   sim::MachineConfig cfg;
   cfg.topology = numa::Topology::Uniform(2, 4);
   sim::Machine m(cfg);
@@ -228,11 +228,11 @@ TEST(Qspinlock, CnaRunsTheSharedHandoverPolicy) {
   m.Run();
   EXPECT_FALSE(violation);
   EXPECT_EQ(lock.RawValue(), 0u);
-  const auto& c = locks::GlobalCnaCounters();
-  EXPECT_GT(c.fifo_handovers.load(), 0u);
-  EXPECT_GT(c.shuffle_skips.load(), 0u);
-  EXPECT_GT(c.queue_alterations.load(), 0u);
-  locks::GlobalCnaCounters().Reset();
+  const auto& c = telemetry::CnaCounters();
+  EXPECT_GT(c.fifo_handovers->Value(), 0u);
+  EXPECT_GT(c.shuffle_skips->Value(), 0u);
+  EXPECT_GT(c.queue_alterations->Value(), 0u);
+  telemetry::CnaCounters().Reset();
 }
 
 TEST(Qspinlock, NestingTwoLocksUsesDistinctNodes) {

@@ -580,5 +580,38 @@ TEST(CApi, SamplerAndServeRoundTrip) {
   telemetry::SetEnabled(false);
 }
 
+// CNA's Section 7.1.1 counters are registry counters: the global sampler
+// sees them with no export in between, and cna_telemetry_reset zeroes them.
+TEST(CApi, CnaEventCountersReachTheSamplerAndReset) {
+  using L = locks::CnaLock<RealPlatform, locks::CnaTelemetryConfig>;
+  L lock;
+  cna_sampler_rebaseline();
+  cna_sampler_tick(1'000'000);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&lock] {
+      for (int i = 0; i < 2'000; ++i) {
+        locks::ScopedLock<L> g(lock);
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  cna_sampler_tick(2'000'000);
+  EXPECT_GT(cna_sampler_rate("cna.releases", 0), 0.0);
+
+  cna_telemetry_reset();
+  cna_sampler_rebaseline();
+  char* json = cna_telemetry_export(CNA_TELEMETRY_FORMAT_JSON);
+  ASSERT_NE(json, nullptr);
+  const std::string doc(json);
+  std::free(json);
+  const std::string key = "\"cna.releases\":";
+  const auto pos = doc.find(key);
+  ASSERT_NE(pos, std::string::npos) << doc.substr(0, 400);
+  EXPECT_EQ(std::stoull(doc.substr(pos + key.size())), 0u);
+}
+
 }  // namespace
 }  // namespace cna
