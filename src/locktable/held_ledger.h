@@ -75,7 +75,15 @@ class HeldLedger {
   // kInlineTxnKeys-key transaction plus nesting.
   static constexpr std::size_t kInlineNodes = 16;
   static constexpr std::size_t kNotHeld = ~std::size_t{0};
-  // acquire_ns of an entry taken while hold-time telemetry was off.
+  // acquire_ns of a hold no sink stamped: one taken while every sink was
+  // off, or one of the observed holds a lock table's sampling left untimed.
+  // On real hardware a table stamps one observed acquisition in 16 and
+  // weighs its records 16x; under the simulator it stamps every one
+  // (P::kStampPeriod, lock_table.h).  So a sampler rate or saturation signal
+  // taken from a table histogram's count moves in steps of 16, with relative
+  // noise sqrt(15/n) over n acquisitions per tick.  Lockdep still tracks an
+  // unstamped hold but weighs nothing for it (telemetry::lockdep::kUnstamped,
+  // same value).
   static constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
 
   struct Held {

@@ -77,8 +77,14 @@ struct LockTableOptions {
   // Acquisition/hold latency telemetry: registers "<metrics_name>.wait_ns"
   // and "<metrics_name>.hold_ns" histograms in the global telemetry registry
   // (src/telemetry/) and records into them whenever telemetry::Enabled().
-  // Off by default: the lock path carries no timing code.  nullptr picks the
-  // table flavor's default prefix ("locktable", "rwtable", "combining").
+  // On real hardware they hold a sample: one acquisition in 16 is timed and
+  // recorded with weight 16, and the other 15 read no clock
+  // (RealPlatform::kStampPeriod).  The simulator times every acquisition.
+  // A sampler rate or saturation signal taken from such a histogram's count
+  // moves in steps of 16, so its relative noise is sqrt(15/n) over n
+  // acquisitions per tick.  Off by default: the lock path carries no timing
+  // code.  nullptr picks the table flavor's default prefix ("locktable",
+  // "rwtable", "combining").
   bool collect_latency = false;
   const char* metrics_name = nullptr;
   // Spin-then-park blocking at oversubscription: acquisitions try-lock for a
@@ -421,20 +427,45 @@ class LockTable {
     UnlockStripesN(stripes, n);
   }
 
-  // Sinks and clock stamps: each lock edge reads P::NowNs() once for every
-  // sink that wants it -- a blocking acquisition twice when its wait is
-  // timed -- and not at all when none does.  The ownership stamp goes into
-  // the ledger entry (hold histogram) and to lockdep; the release stamp ends
-  // both holds.  With every sink off, an edge costs one or two flag tests.
+  // Sinks and clock stamps.  An acquisition is observed when a sink wants
+  // it: the latency sink (collect_latency, while telemetry::Enabled()) or
+  // lockdep.  An observed acquisition makes one draw from the context's
+  // PRNG, and one in kStampPeriod is stamped: it reads P::NowNs() at entry
+  // (when its wait is timed), at ownership and at release, and records its
+  // wait, its hold and its lockdep fold with weight kStampPeriod, so counts,
+  // sums and percentiles stay unbiased.  The others read no clock; lockdep
+  // still tracks them, so its edges and order checks see every acquisition.
+  // Under the simulator the period is 1: every observed acquisition is
+  // stamped and no draw is made.  With every sink off, an edge costs one or
+  // two flag tests and makes no draw.
+  static constexpr std::uint32_t kStampPeriod = P::kStampPeriod;
+  static_assert(std::has_single_bit(kStampPeriod),
+                "the stamp period is a power of two");
+  static_assert(Ledger::kUnstamped == telemetry::lockdep::kUnstamped,
+                "a ledger entry's stamp passes through to lockdep");
+
+  // The sampling draw of an observed acquisition: whether it is stamped.
+  static bool DrawStamp() {
+    if constexpr (kStampPeriod == 1) {
+      return true;
+    } else {
+      return (P::Random() & (kStampPeriod - 1)) == 0;
+    }
+  }
+
+  // The latency sink draws at entry, where a stamped wait starts (t0 is
+  // kUnstamped unless it drew a stamp); lockdep alone draws at ownership.
   template <HoldMode M>
   void Acquire(std::size_t s, bool multi_key) {
     L& lock = StripeLock(s);
     typename Ledger::Held& held = ContextLedger().Checkout(&lock, M);
     const bool timed = lat_ != nullptr && telemetry::Enabled();
-    const std::uint64_t t0 = timed ? P::NowNs() : 0;
+    const std::uint64_t t0 =
+        timed && DrawStamp() ? P::NowNs() : Ledger::kUnstamped;
     AcquireImpl<M>(lock, *held.node, s);
     if (timed || telemetry::lockdep::Enabled()) {
-      AcquiredSinks<M>(held, s, multi_key, timed, t0);
+      AcquiredSinks<M>(held, s, /*trylock=*/false, multi_key,
+                       timed ? t0 != Ledger::kUnstamped : DrawStamp(), t0);
     }
   }
 
@@ -445,19 +476,13 @@ class LockTable {
     typename Ledger::Held& held = ledger.Checkout(&lock, M);
     if (TryLockIn<M>(lock, *held.node)) {
       stats_.template OnAcquire<M>(s, /*was_contended=*/false);
-      // Only exclusive holds are timed (see TableLatency).
+      // Only exclusive holds are timed (see TableLatency); a try-lock has
+      // no wait.
       const bool time_hold = M == HoldMode::kExclusive && lat_ != nullptr &&
                              telemetry::Enabled();
-      const bool lockdep = telemetry::lockdep::Enabled();
-      if (time_hold || lockdep) {
-        const std::uint64_t now = P::NowNs();
-        if (time_hold) {
-          held.acquire_ns = now;
-        }
-        if (lockdep) {
-          LockdepAcquired<M>(s, /*trylock=*/true, /*multi_key=*/false, 0,
-                             now);
-        }
+      if (time_hold || telemetry::lockdep::Enabled()) {
+        AcquiredSinks<M>(held, s, /*trylock=*/true, /*multi_key=*/false,
+                         DrawStamp(), Ledger::kUnstamped);
       }
       return true;
     }
@@ -563,43 +588,51 @@ class LockTable {
     UnparkAfterRelease<M>(s);
   }
 
-  // A blocking acquisition's sinks; its wait is timed from t0 when `timed`.
-  // The ownership stamp ends the wait and starts the hold.
+  // An observed acquisition's sinks, once it owns stripe s.  A stamped one
+  // reads the clock: the stamp starts its hold and ends its wait, which is
+  // timed from t0 unless t0 is kUnstamped.  Out of line: inlined, this body
+  // slows the unobserved acquisition's path.
   template <HoldMode M>
-  void AcquiredSinks(typename Ledger::Held& held, std::size_t s,
-                     bool multi_key, bool timed, std::uint64_t t0) {
-    const std::uint64_t now = P::NowNs();
+  [[gnu::noinline]] void AcquiredSinks(typename Ledger::Held& held,
+                                       std::size_t s, bool trylock,
+                                       bool multi_key, bool stamped,
+                                       std::uint64_t t0) {
     std::uint64_t wait_ns = 0;
-    if (timed) {
-      wait_ns = now - t0;
-      lat_->wait[static_cast<int>(M)]->RecordAt(P::CurrentSocket(),
-                                                P::CpuId(), wait_ns);
-      held.acquire_ns = now;
+    if (stamped) {
+      held.acquire_ns = P::NowNs();
+      if (t0 != Ledger::kUnstamped) {
+        wait_ns = held.acquire_ns - t0;
+        lat_->wait[static_cast<int>(M)]->RecordAt(
+            P::CurrentSocket(), P::CpuId(), wait_ns, kStampPeriod);
+      }
     }
     if (telemetry::lockdep::Enabled()) {
-      LockdepAcquired<M>(s, /*trylock=*/false, multi_key, wait_ns, now);
+      LockdepAcquired<M>(s, trylock, multi_key, wait_ns, held.acquire_ns);
     }
   }
 
-  // A release's sinks: one stamp ends the timed hold and the lockdep hold.
-  // Hold time runs from ownership to the start of the release; a hold taken
-  // while telemetry was off carries no stamp and records nothing.
+  // A release's sinks.  A stamped hold reads the clock once, and that stamp
+  // ends both its timed hold and its lockdep fold; lockdep only pops an
+  // unstamped one.  Hold time runs from ownership to the start of the
+  // release; a hold that no sink stamped records nothing.
   template <HoldMode M>
   void ReleasedSinks(std::uint64_t acquire_ns, std::size_t s) {
     const bool time_hold = M == HoldMode::kExclusive && lat_ != nullptr &&
-                           telemetry::Enabled() &&
-                           acquire_ns != Ledger::kUnstamped;
+                           telemetry::Enabled();
     const bool lockdep = telemetry::lockdep::Enabled();
-    if (time_hold || lockdep) {
-      const std::uint64_t now = P::NowNs();
-      if (time_hold) {
-        lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(), now - acquire_ns);
-      }
-      if (lockdep) {
-        telemetry::lockdep::OnReleased(
-            P::CpuId(), lockdep_cls_,
-            reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)), now);
-      }
+    const std::uint64_t now =
+        acquire_ns != Ledger::kUnstamped && (time_hold || lockdep)
+            ? P::NowNs()
+            : Ledger::kUnstamped;
+    if (time_hold && now != Ledger::kUnstamped) {
+      lat_->hold.RecordAt(P::CurrentSocket(), P::CpuId(), now - acquire_ns,
+                          kStampPeriod);
+    }
+    if (lockdep) {
+      telemetry::lockdep::OnReleased(
+          P::CpuId(), lockdep_cls_,
+          reinterpret_cast<std::uintptr_t>(&array_.Stripe(s)), now,
+          kStampPeriod);
     }
   }
 

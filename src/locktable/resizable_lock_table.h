@@ -111,7 +111,8 @@ struct ResizableLockTableOptions {
   std::uint32_t stats_probe_period = 8;
   // Per-stripe wait/hold latency telemetry on every snapshot ("resizable.*"
   // metric names, shared across snapshots -- the registry hands back the
-  // same histogram for the same name, so resizes never reset distributions).
+  // same histogram for the same name, so resizes never reset distributions),
+  // sampled as LockTableOptions::collect_latency describes.
   bool collect_latency = false;
   // Spin-then-park stripe acquisition at oversubscription (see
   // LockTableOptions::blocking); inherited by every snapshot, so the mode

@@ -9,6 +9,13 @@
 // carries no timing state and no timing code on the lock path; with the sink
 // allocated, recording is still gated on the process-global
 // telemetry::Enabled() flag.
+//
+// TableLatency holds a sample on real hardware: LockTable times one
+// acquisition in 16 and records its wait and hold with weight 16 (see
+// Histogram in metrics.h), while the simulator times every acquisition with
+// weight 1.  A sampler rate or saturation signal taken from one of these
+// counts moves in steps of 16, so its relative noise is sqrt(15/n) over n
+// acquisitions per tick.  CombiningLatency times every operation.
 #ifndef CNA_LOCKTABLE_TABLE_LATENCY_H_
 #define CNA_LOCKTABLE_TABLE_LATENCY_H_
 

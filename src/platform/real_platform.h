@@ -8,6 +8,8 @@
 //   * OnDataAccess()   -- critical-section data-traffic hook (no-op here; the
 //                         hardware's caches do the real thing),
 //   * NowNs()          -- the clock latency telemetry stamps with,
+//   * kStampPeriod     -- one observed table acquisition in this many reads
+//                         that clock,
 //   * ContextLocal<T>() -- one T per execution context (the held-lock
 //                         ledger, locktable/held_ledger.h).
 // SimPlatform (src/sim/sim_platform.h) implements the same interface against
@@ -76,6 +78,13 @@ struct RealPlatform {
   // The clock the tables' wait and hold histograms use: steady_clock here;
   // the simulator's NowNs() is the fiber's simulated clock instead.
   static std::uint64_t NowNs() { return telemetry::NowNs(); }
+
+  // One observed lock-table acquisition in kStampPeriod, drawn from the
+  // context's PRNG, reads the clock; its wait, hold and lockdep fold are
+  // recorded with this weight (locktable/lock_table.h).  A steady_clock read
+  // waits for the caller's outstanding cache misses, so stamping every lock
+  // edge cost more than the lock.  A power of two.
+  static constexpr std::uint32_t kStampPeriod = 16;
 
   // This thread's instance of T, built on first use and destroyed when the
   // thread exits.  For state that belongs to the execution context rather

@@ -72,6 +72,11 @@ struct SimPlatform {
     return telemetry::NowNs();
   }
 
+  // That clock is free, so the tables stamp every observed acquisition and
+  // make no sampling draw, which would move the fiber's Random() stream and
+  // with it the schedule.
+  static constexpr std::uint32_t kStampPeriod = 1;
+
   // One T per simulated CPU, owned by the running Machine (built on first
   // use, destroyed with the Machine, so nothing leaks from one Machine's
   // schedule into the next); a thread-local instance outside fibers.

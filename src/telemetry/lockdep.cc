@@ -178,7 +178,6 @@ struct ChainEntry {
 
 struct Witness {
   int tid = 0;
-  std::uint64_t ts_ns = 0;
   int depth = 0;
   ChainEntry chain[kChainMax];
 };
@@ -352,9 +351,8 @@ void AddEdge(int from, int to, const Witness& w) {
 // instance): its own held entries in the slot (most recent kChainMax - 1)
 // plus the new acquisition.
 void BuildChain(const HeldSlot& slot, int ctx, int cls, int site,
-                std::uintptr_t instance, std::uint64_t ts_ns, Witness* w) {
+                std::uintptr_t instance, Witness* w) {
   w->tid = ctx;
-  w->ts_ns = ts_ns;
   int d = 0;
   for (int i = FirstOfLastOwn(slot, ctx, slot.n, kChainMax - 1); i < slot.n;
        ++i) {
@@ -447,7 +445,7 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
   FlagGuard g(slot.busy);
   if (!trylock && slot.n > 0) {
     Witness w;
-    BuildChain(slot, ctx, cls, site, instance, now_ns, &w);
+    BuildChain(slot, ctx, cls, site, instance, &w);
     if (nested) {
       // MultiGuard ascending-instance invariant: within one multi-key
       // transaction, stripes of the same class must strictly ascend.
@@ -488,7 +486,7 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
 }
 
 void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance,
-                    std::uint64_t now_ns) {
+                    std::uint64_t now_ns, std::uint64_t weight) {
   if (cls < 0) {
     return;
   }
@@ -499,9 +497,11 @@ void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance,
         slot.e[i].instance != instance) {
       continue;
     }
-    const std::uint64_t hold =
-        now_ns > slot.e[i].acquire_ns ? now_ns - slot.e[i].acquire_ns : 0;
-    RecordFold(slot, i, hold, slot.e[i].wait_ns);
+    const std::uint64_t acquire_ns = slot.e[i].acquire_ns;
+    if (acquire_ns != kUnstamped && now_ns != kUnstamped) {
+      const std::uint64_t hold = now_ns > acquire_ns ? now_ns - acquire_ns : 0;
+      RecordFold(slot, i, hold * weight, slot.e[i].wait_ns * weight);
+    }
     // Preserve stack order: the remaining entries still describe each
     // context's acquisition chain.
     for (int j = i; j + 1 < slot.n; ++j) {
@@ -524,7 +524,7 @@ void OnBlockingWaitImpl(int ctx, int cls, int site) {
     return;
   }
   Witness w;
-  BuildChain(slot, ctx, cls, site, /*instance=*/0, NowNs(), &w);
+  BuildChain(slot, ctx, cls, site, /*instance=*/0, &w);
   std::uint64_t seen = 0;
   for (int i = 0; i < slot.n; ++i) {
     const int held = slot.e[i].cls;

@@ -42,9 +42,12 @@
 //  * One relaxed flag load per hook when disabled; compiling with
 //    -DCNA_LOCKDEP=0 turns every hook into an empty inline.
 //  * Hooks read no clock: OnAcquired/OnReleased take the caller's stamp of
-//    the lock edge, so a table reads P::NowNs() once per edge for every sink
-//    (under the simulator, folds weigh simulated ns like the table
-//    histograms).
+//    the lock edge, or kUnstamped.  A lock table stamps one observed
+//    acquisition in P::kStampPeriod and weighs its fold by that period: on
+//    real hardware the folds hold a 1-in-16 sample with weight 16, under the
+//    simulator every hold with weight 1 (simulated ns, like the table
+//    histograms).  Every acquisition and release still reaches the held
+//    stack, so edges, witnesses and order checks see all of them.
 //  * Internal guards are straight-line TAS spins never held across a yield
 //    point, so they are fiber-safe under the simulator.
 #ifndef CNA_TELEMETRY_LOCKDEP_H_
@@ -78,6 +81,12 @@ inline constexpr int kMaxFolds = 512;
 inline constexpr int kSlotFolds = 8;  // folded chains kept per held slot
 
 inline constexpr bool kCompiledIn = CNA_LOCKDEP != 0;
+
+// A hook stamp that means "tracked, not weighed": an acquisition stamped
+// kUnstamped is on the held stack like any other, and its release folds
+// nothing.  Equal to locktable::HeldLedger<>::kUnstamped, so a table passes
+// its ledger entry's stamp through.
+inline constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
 
 // Aggregate view for tests, the text report, and the C API.
 struct Counts {
@@ -120,7 +129,7 @@ void OnAcquiredImpl(int ctx, int cls, int site, std::uintptr_t instance,
                     bool trylock, bool shared, bool nested,
                     std::uint64_t wait_ns, std::uint64_t now_ns);
 void OnReleasedImpl(int ctx, int cls, std::uintptr_t instance,
-                    std::uint64_t now_ns);
+                    std::uint64_t now_ns, std::uint64_t weight);
 void OnBlockingWaitImpl(int ctx, int cls, int site);
 void OnParkImpl(int ctx);
 }  // namespace internal
@@ -130,8 +139,16 @@ void OnParkImpl(int ctx);
 // `nested` marks multi-key (MultiGuard) acquisitions, which opt into the
 // same-class ascending-instance check.  `now_ns` is the caller's clock
 // stamp of the edge (P::NowNs(); telemetry::NowNs() for non-platform
-// callers): a hold weighs release stamp minus acquire stamp.  Callers read
-// the clock only under Enabled().
+// callers), or kUnstamped for an edge the caller did not time.  A hold
+// stamped at both edges folds release stamp minus acquire stamp, and its
+// wait, each times the release's `weight`: a lock table passes its
+// P::kStampPeriod (16 on real hardware, where it stamps one acquisition in
+// 16; 1 under the simulator, which stamps all), LockAdapter and ScopedLock
+// stamp every edge and pass 1.  Any other release only pops its entry.
+// The table's wait and hold histograms hold the same sample, so a sampler
+// rate or saturation signal taken from their counts moves in steps of 16,
+// with relative noise sqrt(15/n) over n acquisitions per tick.  Callers
+// read the clock only under Enabled().
 inline void OnAcquired(int ctx, int cls, int site, std::uintptr_t instance,
                        bool trylock, bool shared, bool nested,
                        std::uint64_t wait_ns, std::uint64_t now_ns) {
@@ -141,9 +158,9 @@ inline void OnAcquired(int ctx, int cls, int site, std::uintptr_t instance,
   }
 }
 inline void OnReleased(int ctx, int cls, std::uintptr_t instance,
-                       std::uint64_t now_ns) {
+                       std::uint64_t now_ns, std::uint64_t weight = 1) {
   if (Enabled()) {
-    internal::OnReleasedImpl(ctx, cls, instance, now_ns);
+    internal::OnReleasedImpl(ctx, cls, instance, now_ns, weight);
   }
 }
 // Records held-class -> `cls` edges for a wait that is not a lock hold (the
@@ -194,7 +211,8 @@ inline const char* ClassName(int) { return "?"; }
 inline const char* SiteName(int) { return "?"; }
 inline void OnAcquired(int, int, int, std::uintptr_t, bool, bool, bool,
                        std::uint64_t, std::uint64_t) {}
-inline void OnReleased(int, int, std::uintptr_t, std::uint64_t) {}
+inline void OnReleased(int, int, std::uintptr_t, std::uint64_t,
+                       std::uint64_t = 1) {}
 inline void OnBlockingWait(int, int, int) {}
 inline void OnPark(int) {}
 inline std::uint64_t InversionCount() { return 0; }

@@ -201,6 +201,15 @@ struct HistogramSnapshot {
 
 // Sharded log2 histogram.  Cells are striped (socket-major) so the per-socket
 // distribution is just the merge of that socket's sub-shards.
+//
+// A record can carry a weight w: it stands for w values, so its bucket adds
+// w and the sum adds value * w.  The lock tables use that to sample: on real
+// hardware a table's wait and hold histograms hold one acquisition in
+// RealPlatform::kStampPeriod (16), each recorded with weight 16, so counts,
+// sums and percentiles are unbiased estimates; under the simulator every
+// acquisition is recorded with weight 1.  A rate or saturation signal taken
+// from such a histogram's count therefore moves in steps of 16, with a
+// relative noise of sqrt(15/n) over n acquisitions per sampler tick.
 class Histogram {
  public:
   // `socket` selects the socket-major stripe; `shard` (a dense thread or
@@ -209,11 +218,12 @@ class Histogram {
     RecordAt(socket, SelfShard(), value);
   }
 
-  void RecordAt(int socket, int shard, std::uint64_t value) {
+  void RecordAt(int socket, int shard, std::uint64_t value,
+                std::uint64_t weight = 1) {
     Shard& cell = cells_[CellIndex(socket, shard)];
     cell.buckets[static_cast<std::size_t>(BucketOf(value))].fetch_add(
-        1, std::memory_order_relaxed);
-    cell.sum.fetch_add(value, std::memory_order_relaxed);
+        weight, std::memory_order_relaxed);
+    cell.sum.fetch_add(value * weight, std::memory_order_relaxed);
   }
 
   HistogramSnapshot Snapshot() const {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "every_stamp_platform.h"
 #include "locks/cna.h"
 #include "locktable/lock_table.h"
 #include "platform/real_platform.h"
@@ -26,6 +27,9 @@ namespace lockdep = telemetry::lockdep;
 
 using RealCna = locks::CnaLock<RealPlatform>;
 using RealTable = locktable::LockTable<RealPlatform, RealCna>;
+// Stamps every acquisition, for tests that assert one given hold is folded.
+using ExactTable = locktable::LockTable<EveryStampPlatform,
+                                        locks::CnaLock<EveryStampPlatform>>;
 
 class LockdepStressTest : public ::testing::Test {
  protected:
@@ -165,18 +169,19 @@ std::map<std::string, int> FoldedLinesBySignature(const std::string& folded) {
 // Folds accumulate in each releasing context's held slot and spill into the
 // global table only when the slot's records are full; FoldedStacks() merges
 // both, one line per chain signature, while the workers keep releasing.
+// The tables stamp every acquisition, so every chain taken is folded.
 TEST_F(LockdepStressTest, PerContextFoldsMergeOneLinePerChain) {
-  RealTable a({.stripes = 32, .metrics_name = "foldA"});
-  RealTable b({.stripes = 32, .metrics_name = "foldB"});
+  ExactTable a({.stripes = 32, .metrics_name = "foldA"});
+  ExactTable b({.stripes = 32, .metrics_name = "foldB"});
   // More single-stripe chains than one slot holds, all from one thread.
   constexpr int kSpill = lockdep::kSlotFolds + 4;
-  std::vector<std::unique_ptr<RealTable>> spill;
+  std::vector<std::unique_ptr<ExactTable>> spill;
   std::set<std::string> expected = {
       "foldA/stripe@LockTable::LockStripe",
       "foldA/stripe@LockTable::LockStripe;foldB/stripe@LockTable::LockStripe"};
   for (int k = 0; k < kSpill; ++k) {
     const std::string name = "foldSpill" + std::to_string(k);
-    spill.push_back(std::make_unique<RealTable>(locktable::LockTableOptions{
+    spill.push_back(std::make_unique<ExactTable>(locktable::LockTableOptions{
         .stripes = 1, .metrics_name = name.c_str()}));
     expected.insert(name + "/stripe@LockTable::LockStripe");
   }
@@ -206,7 +211,7 @@ TEST_F(LockdepStressTest, PerContextFoldsMergeOneLinePerChain) {
         b.Unlock(key);
         a.Unlock(key);
         if (t == 0) {
-          RealTable& table = *spill[static_cast<std::size_t>(i % kSpill)];
+          ExactTable& table = *spill[static_cast<std::size_t>(i % kSpill)];
           table.LockStripe(0);
           table.UnlockStripe(0);
         }

@@ -26,6 +26,7 @@
 
 #include "core/pthread_api.h"
 #include "core/registry.h"
+#include "every_stamp_platform.h"
 #include "locks/cna.h"
 #include "locks/lock_api.h"
 #include "locks/tas.h"
@@ -47,6 +48,9 @@ namespace lockdep = telemetry::lockdep;
 using RealCna = locks::CnaLock<RealPlatform>;
 using SimCna = locks::CnaLock<SimPlatform>;
 using RealTable = locktable::LockTable<RealPlatform, RealCna>;
+// Stamps every acquisition, for tests that assert one given hold is folded.
+using ExactTable = locktable::LockTable<EveryStampPlatform,
+                                        locks::CnaLock<EveryStampPlatform>>;
 using SimTable = locktable::LockTable<SimPlatform, SimCna>;
 
 // ---------------------------------------------------------------------------
@@ -390,8 +394,10 @@ TEST_F(LockdepTest, ParkWhileHoldingIsDetected) {
 
 // Held stacks double as attribution: released holds accumulate into
 // flamegraph.pl-compatible folded lines.
+// The tables stamp every acquisition here, so the one hold asserted on is
+// folded.
 TEST_F(LockdepTest, FoldedStacksAccumulateHoldTime) {
-  RealTable table({.stripes = 8, .metrics_name = "foldtbl"});
+  ExactTable table({.stripes = 8, .metrics_name = "foldtbl"});
   table.Lock(5);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   table.Unlock(5);
@@ -406,7 +412,7 @@ TEST_F(LockdepTest, FoldedStacksAccumulateHoldTime) {
   EXPECT_GE(std::stoull(folded.substr(sp + 1)), 1'000'000ull) << folded;
 
   // Nested chains render as semicolon-joined frames.
-  RealTable outer({.stripes = 8, .metrics_name = "foldouter"});
+  ExactTable outer({.stripes = 8, .metrics_name = "foldouter"});
   outer.Lock(1);
   table.Lock(5);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -15,12 +15,15 @@
 
 #include "base/rng.h"
 #include "core/pthread_api.h"
+#include "every_stamp_platform.h"
 #include "locks/cna.h"
+#include "locks/cna_rwlock.h"
 #include "locktable/lock_table.h"
 #include "platform/real_platform.h"
 #include "sim/machine.h"
 #include "sim/sim_platform.h"
 #include "telemetry/export.h"
+#include "telemetry/lockdep.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -423,13 +426,14 @@ TEST(TelemetryTableLatency, SimFibersHoldIsSimulatedTime) {
 }
 
 // A hold taken while telemetry was off carries no acquire stamp, so turning
-// telemetry on mid-hold records no hold time for it.
+// telemetry on mid-hold records no hold time for it.  The table stamps every
+// acquisition, so the second hold is the one recorded.
 TEST(TelemetryTableLatency, HoldTakenWhileOffRecordsNothing) {
-  using RealTable =
-      locktable::LockTable<RealPlatform, locks::CnaLock<RealPlatform>>;
+  using ExactTable = locktable::LockTable<EveryStampPlatform,
+                                          locks::CnaLock<EveryStampPlatform>>;
   auto& hold = telemetry::Registry::Global().GetHistogram("offhold.hold_ns");
   const telemetry::HistogramSnapshot before = hold.Snapshot();
-  RealTable table(
+  ExactTable table(
       {.stripes = 4, .collect_latency = true, .metrics_name = "offhold"});
   table.Lock(1);
   telemetry::SetEnabled(true);
@@ -439,6 +443,77 @@ TEST(TelemetryTableLatency, HoldTakenWhileOffRecordsNothing) {
   table.Unlock(1);
   telemetry::SetEnabled(false);
   EXPECT_EQ((hold.Snapshot() - before).count, 1u);
+}
+
+// RealPlatform whose clock counts its reads.
+struct ClockCountingPlatform : RealPlatform {
+  static inline std::atomic<std::uint64_t> reads{0};
+  static std::uint64_t NowNs() {
+    reads.fetch_add(1, std::memory_order_relaxed);
+    return RealPlatform::NowNs();
+  }
+};
+
+// With latency and lockdep on, a real table reads the clock only for the
+// one observed acquisition in 16 that its sampling draw stamps (three reads
+// for a stamped pair, so about 3/16 per pair), while its stats and lockdep
+// still see every acquisition and release.
+TEST(TelemetryTableLatency, ObservedPairsReadTheClockForOneInSixteen) {
+  using CountingTable = locktable::LockTable<
+      ClockCountingPlatform,
+      locks::CnaRwLock<ClockCountingPlatform, locks::CnaRwCompactConfig>>;
+  CountingTable table({.stripes = 64,
+                       .collect_stats = true,
+                       .collect_latency = true,
+                       .metrics_name = "clockcount"});
+  constexpr std::uint64_t kPairs = 4'097;
+  telemetry::SetEnabled(true);
+  telemetry::lockdep::SetEnabled(true);
+  ClockCountingPlatform::reads.store(0);
+  for (std::uint64_t key = 0; key < kPairs; ++key) {
+    table.Lock(key);
+    table.Unlock(key);
+    table.LockShared(key);
+    table.UnlockShared(key);
+  }
+  const std::uint64_t reads = ClockCountingPlatform::reads.load();
+  telemetry::lockdep::SetEnabled(false);
+  telemetry::SetEnabled(false);
+
+  EXPECT_LE(reads, kPairs) << "at most 0.5 clock reads per pair";
+  EXPECT_EQ(table.StatsSummary().total_acquisitions, 2 * kPairs);
+  EXPECT_EQ(telemetry::lockdep::HeldDepth(ClockCountingPlatform::CpuId()), 0);
+  telemetry::lockdep::Reset();
+}
+
+// On real hardware the wait and hold histograms hold a 1-in-16 sample, each
+// record weighing 16, so counts and sums are multiples of 16 and the count
+// estimates the 4,097 acquisitions (the bounds are about 8 standard
+// deviations of the estimate).
+TEST(TelemetryTableLatency, RealTablesRecordOneInSixteenWeighedSixteen) {
+  using RealTable =
+      locktable::LockTable<RealPlatform, locks::CnaLock<RealPlatform>>;
+  auto& hold = telemetry::Registry::Global().GetHistogram("sampled.hold_ns");
+  auto& wait = telemetry::Registry::Global().GetHistogram("sampled.wait_ns");
+  const telemetry::HistogramSnapshot hold_before = hold.Snapshot();
+  const telemetry::HistogramSnapshot wait_before = wait.Snapshot();
+  RealTable table(
+      {.stripes = 64, .collect_latency = true, .metrics_name = "sampled"});
+  constexpr std::uint64_t kPairs = 4'097;
+  telemetry::SetEnabled(true);
+  for (std::uint64_t key = 0; key < kPairs; ++key) {
+    table.Lock(key);
+    table.Unlock(key);
+  }
+  telemetry::SetEnabled(false);
+
+  for (const telemetry::HistogramSnapshot& d :
+       {hold.Snapshot() - hold_before, wait.Snapshot() - wait_before}) {
+    EXPECT_EQ(d.count % 16, 0u) << d.count;
+    EXPECT_GE(d.count, 2'048u);
+    EXPECT_LE(d.count, 6'144u);
+    EXPECT_EQ(d.sum % 16, 0u) << d.sum;
+  }
 }
 
 // Concurrent recording, real threads: every record lands in exactly one
